@@ -101,7 +101,6 @@ fn main() {
     run("t3", &mut || t3(&benches));
     run("t4", &mut || t4(&quick));
     run("t5", &mut || t5(&quick));
-    run("t6", &mut || t6());
     run("t7", &mut || t7());
     run("t8", &mut || t8(&quick));
     run("t9", &mut || t9());
@@ -407,91 +406,6 @@ fn t5(benches: &[Benchmark]) -> JsonValue {
     med
 }
 
-fn t6() -> JsonValue {
-    println!("## T6 — Online cycle collapsing (demand engine, cyclic suite)\n");
-    let data = run_t6(&[4, 6, 8]);
-    let med = obj(vec![
-        (
-            "work_on",
-            JsonValue::F64(median(data.iter().map(|r| r.work_on as f64).collect())),
-        ),
-        (
-            "work_off",
-            JsonValue::F64(median(data.iter().map(|r| r.work_off as f64).collect())),
-        ),
-        (
-            "work_reduction",
-            JsonValue::F64(median(data.iter().map(|r| r.work_reduction()).collect())),
-        ),
-        (
-            "fires_on",
-            JsonValue::F64(median(data.iter().map(|r| r.fires_on as f64).collect())),
-        ),
-        (
-            "fires_off",
-            JsonValue::F64(median(data.iter().map(|r| r.fires_off as f64).collect())),
-        ),
-        (
-            "cycles_collapsed",
-            JsonValue::F64(median(
-                data.iter().map(|r| r.cycles_collapsed as f64).collect(),
-            )),
-        ),
-        (
-            "merged_goals",
-            JsonValue::F64(median(data.iter().map(|r| r.merged_goals as f64).collect())),
-        ),
-        (
-            "identical",
-            JsonValue::Bool(data.iter().all(|r| r.identical)),
-        ),
-    ]);
-    let rows: Vec<Vec<String>> = data
-        .into_iter()
-        .map(|r| {
-            vec![
-                r.name.clone(),
-                count(r.queries),
-                count(r.work_on as usize),
-                count(r.work_off as usize),
-                ratio(r.work_reduction()),
-                count(r.fires_on as usize),
-                count(r.fires_off as usize),
-                dur(r.time_on),
-                dur(r.time_off),
-                count(r.cycles_collapsed as usize),
-                count(r.merged_goals as usize),
-                if r.identical {
-                    "identical ✓".into()
-                } else {
-                    "DIFFERS ✗".into()
-                },
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        table(
-            &[
-                "program",
-                "queries",
-                "work (on)",
-                "work (off)",
-                "reduction",
-                "fires (on)",
-                "fires (off)",
-                "time (on)",
-                "time (off)",
-                "cycles",
-                "merged goals",
-                "answers"
-            ],
-            &rows
-        )
-    );
-    med
-}
-
 fn t7() -> JsonValue {
     println!("## T7 — Shared cross-worker memo table (4 simulated workers, cyclic suite)\n");
     let data = run_t7(&[4, 6, 8], 4);
@@ -727,9 +641,9 @@ fn t9() -> JsonValue {
 
 fn t10(full: bool) -> JsonValue {
     // At least two workers even on a single-core host: the scheduler
-    // path is only taken at workers > 1, and even there it wins on wide
-    // programs because frames run collapse-off (the fire-once discipline
-    // bounds work without the sequential engine's periodic cycle scans).
+    // path is only taken at workers > 1. The sequential baseline runs the
+    // same engine at one worker, so the speedup column isolates the
+    // worker count.
     let workers = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4)

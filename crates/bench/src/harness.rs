@@ -611,90 +611,6 @@ pub fn run_t5(benches: &[Benchmark], max_queries: usize) -> Vec<T5Row> {
 }
 
 // ---------------------------------------------------------------------
-// T6: online cycle collapsing on cycle-dominated programs
-// ---------------------------------------------------------------------
-
-/// One row of the cycle-collapsing table.
-#[derive(Clone, Debug)]
-pub struct T6Row {
-    /// Workload name (`cyc-<scale>`).
-    pub name: String,
-    /// Pointer-variable queries issued (the copy-flow demand set).
-    pub queries: usize,
-    /// Total work units with collapsing on (default config).
-    pub work_on: u64,
-    /// Total work units with collapsing off.
-    pub work_off: u64,
-    /// Total rule firings with collapsing on.
-    pub fires_on: u64,
-    /// Total rule firings with collapsing off.
-    pub fires_off: u64,
-    /// Wall time with collapsing on.
-    pub time_on: Duration,
-    /// Wall time with collapsing off.
-    pub time_off: Duration,
-    /// SCC passes run by the collapsing engine.
-    pub cycle_runs: u64,
-    /// Copy cycles collapsed.
-    pub cycles_collapsed: u64,
-    /// Goals merged away into representatives.
-    pub merged_goals: u64,
-    /// Every query answer bit-identical between the two configurations.
-    pub identical: bool,
-}
-
-impl T6Row {
-    /// `work_off / work_on` — the headline reduction factor.
-    pub fn work_reduction(&self) -> f64 {
-        self.work_off as f64 / self.work_on.max(1) as f64
-    }
-}
-
-/// Regenerates table T6: demand work with online cycle collapsing on vs
-/// off, over the cycle-dominated generated suite ([`ddpa_gen::cyclic`]).
-///
-/// Queries cover the pointer variables (ring members, tails) — the copy
-/// flow the optimization targets; querying the address-taken objects
-/// would measure the `ptb` judgment, which has no per-goal duplication
-/// for collapsing to remove.
-pub fn run_t6(scales: &[usize]) -> Vec<T6Row> {
-    scales
-        .iter()
-        .map(|&scale| {
-            let cp = ddpa_gen::generate_cyclic(&ddpa_gen::CyclicConfig::sized(42, scale));
-            let queries: Vec<NodeId> = cp
-                .node_ids()
-                .filter(|&n| !cp.display_node(n).contains("obj"))
-                .collect();
-            let answer = |config: DemandConfig| {
-                let mut engine = DemandEngine::new(&cp, config);
-                let start = Instant::now();
-                let answers: Vec<Vec<NodeId>> =
-                    queries.iter().map(|&q| engine.points_to(q).pts).collect();
-                (answers, start.elapsed(), engine.stats())
-            };
-            let (ans_on, time_on, on) = answer(DemandConfig::default());
-            let (ans_off, time_off, off) =
-                answer(DemandConfig::default().without_cycle_collapsing());
-            T6Row {
-                name: format!("cyc-{scale}"),
-                queries: queries.len(),
-                work_on: on.work,
-                work_off: off.work,
-                fires_on: on.fires,
-                fires_off: off.fires,
-                time_on,
-                time_off,
-                cycle_runs: on.cycle_runs,
-                cycles_collapsed: on.cycles_collapsed,
-                merged_goals: on.merged_goals,
-                identical: ans_on == ans_off,
-            }
-        })
-        .collect()
-}
-
-// ---------------------------------------------------------------------
 // T7: shared cross-worker memo table (concurrent tabling)
 // ---------------------------------------------------------------------
 
@@ -1047,8 +963,7 @@ pub struct T10Row {
     pub time_seq: Duration,
     /// Parallel wall time at `workers` threads (best of the repeats).
     pub time_par: Duration,
-    /// Sequential work with cycle collapsing off — the fire multiset the
-    /// scheduler replays.
+    /// Sequential work — the fire multiset the scheduler replays.
     pub work_seq: u64,
     /// Total work summed over all workers.
     pub work_par: u64,
@@ -1085,9 +1000,9 @@ impl T10Row {
 /// headroom-rich regime (independent chains, `W/S ≈ chains`); the cyclic
 /// rows are the antithesis (one strongly-connected ring per query,
 /// `W/S ≈ 1`) and pin down that speedup tracks headroom rather than
-/// thread count. `work_seq` is measured with cycle collapsing off
-/// because that is the fire multiset the scheduler replays; on a fresh
-/// table the two are equal, which `work_ratio` makes visible.
+/// thread count. The two runs differ only in worker count, so on a
+/// fresh table they replay the same fire multiset, which `work_ratio`
+/// makes visible.
 pub fn run_t10(
     wide_sizes: &[usize],
     cyc_scales: &[usize],
@@ -1137,9 +1052,6 @@ pub fn run_t10(
             };
             let (seq, time_seq, seq_engine) = best_of(&DemandConfig::default());
             let headroom = seq_engine.critical_path().headroom;
-            // The scheduler runs collapse-off; measure the matching
-            // sequential fire multiset for the work comparison.
-            let (seq_off, _, _) = best_of(&DemandConfig::default().without_cycle_collapsing());
             let (par, time_par, par_engine) =
                 best_of(&DemandConfig::default().with_workers(workers));
             let stats = par_engine.stats();
@@ -1150,7 +1062,7 @@ pub fn run_t10(
                 headroom,
                 time_seq,
                 time_par,
-                work_seq: seq_off.work,
+                work_seq: seq.work,
                 work_par: par.work,
                 steals: stats.sched_steals,
                 parked: stats.sched_parked,
@@ -1385,20 +1297,6 @@ mod tests {
     }
 
     #[test]
-    fn t6_collapsing_at_least_halves_work_with_identical_answers() {
-        let rows = run_t6(&[6, 8]);
-        for r in &rows {
-            assert!(r.identical, "answers must be bit-identical: {r:?}");
-            assert!(r.cycles_collapsed > 0, "rings must collapse: {r:?}");
-            assert!(
-                r.work_on * 2 <= r.work_off,
-                "expected ≥2× work reduction: {r:?}"
-            );
-            assert!(r.fires_on * 2 <= r.fires_off, "fires too: {r:?}");
-        }
-    }
-
-    #[test]
     fn t7_shared_table_collapses_cross_worker_duplication() {
         let rows = run_t7(&[6, 8], 4);
         for r in &rows {
@@ -1459,19 +1357,15 @@ mod tests {
             wide.headroom > 1.5,
             "wide workloads are the headroom-rich regime: {wide:?}"
         );
-        assert_eq!(
-            wide.work_par, wide.work_seq,
-            "acyclic fire multiset is replayed exactly: {wide:?}"
-        );
         let cyc = &rows[1];
         assert!(cyc.identical, "answers must be bit-identical: {cyc:?}");
-        assert!(
-            cyc.work_ratio() >= 1.0 - 1e-9,
-            "parallel can't do less than the collapse-off multiset: {cyc:?}"
-        );
         for r in &rows {
             assert_eq!(r.workers, 4);
             assert!(r.speedup() > 0.0);
+            assert_eq!(
+                r.work_par, r.work_seq,
+                "the fire multiset is replayed exactly: {r:?}"
+            );
         }
     }
 

@@ -55,13 +55,6 @@ pub struct DemandConfig {
     /// [`crate::DemandEngine::explain_points_to`] can reconstruct why a
     /// fact holds (off by default; costs one map entry per derived fact).
     pub trace: bool,
-    /// Merge the goals of discovered copy cycles into one representative
-    /// (the paper's cycle-collapsing rule; on by default). Answers are
-    /// identical either way — this is purely a work/memory optimization.
-    pub collapse_cycles: bool,
-    /// Number of newly discovered copy edges between SCC passes. Lower
-    /// values collapse cycles sooner at the cost of more frequent passes.
-    pub collapse_threshold: u32,
     /// Record structured engine events into the deduction flight recorder
     /// (on by default — the ring is bounded and rule firings are sampled,
     /// so the cost is a few percent at worst; see `docs/OBSERVABILITY.md`).
@@ -90,8 +83,6 @@ impl Default for DemandConfig {
             budget: None,
             caching: true,
             trace: false,
-            collapse_cycles: true,
-            collapse_threshold: 32,
             flight: true,
             flight_capacity: 8192,
             flight_sample: 64,
@@ -122,19 +113,6 @@ impl DemandConfig {
     /// Enables derivation tracing.
     pub fn with_trace(mut self) -> Self {
         self.trace = true;
-        self
-    }
-
-    /// Disables online cycle collapsing (the ablation baseline for the
-    /// T6 experiment).
-    pub fn without_cycle_collapsing(mut self) -> Self {
-        self.collapse_cycles = false;
-        self
-    }
-
-    /// Sets the copy-edge count between SCC passes (clamped to ≥ 1).
-    pub fn with_collapse_threshold(mut self, threshold: u32) -> Self {
-        self.collapse_threshold = threshold.max(1);
         self
     }
 
@@ -178,15 +156,6 @@ mod tests {
         let d = DemandConfig::default();
         assert_eq!(d.budget, None);
         assert!(d.caching);
-        assert!(d.collapse_cycles, "collapsing defaults to on");
-    }
-
-    #[test]
-    fn collapse_builders() {
-        let c = DemandConfig::new().without_cycle_collapsing();
-        assert!(!c.collapse_cycles);
-        let t = DemandConfig::new().with_collapse_threshold(0);
-        assert_eq!(t.collapse_threshold, 1, "threshold clamps to 1");
     }
 
     #[test]

@@ -57,7 +57,6 @@ use ddpa_obs::{Counter, FlightConfig, FlightEventKind, FlightRecorder, Obs};
 
 use crate::budget::Budget;
 use crate::config::DemandConfig;
-use crate::cycles::CopyGraph;
 use crate::goal::{Goal, GoalState, Watcher};
 use crate::query::{AliasResult, CallTargets, QueryResult};
 use crate::rules::Deduce;
@@ -96,9 +95,6 @@ pub struct DemandEngine<'p> {
     counters: EngineCounters,
     provenance: HashMap<(Goal, u32), Origin>,
     generation: u64,
-    /// Copy-graph edges and the goal-merging union-find; every goal-index
-    /// lookup routes through [`CopyGraph::find`].
-    pub(crate) cycles: CopyGraph,
     /// Cross-engine memo table, when attached
     /// ([`DemandEngine::with_shared_memo`]); ignored while
     /// [`DemandConfig::caching`] is off.
@@ -115,9 +111,9 @@ pub struct DemandEngine<'p> {
     /// feeds back into deduction, so answers are identical either way.
     pub(crate) flight: Option<Arc<FlightRecorder>>,
     /// Per-goal attribution, parallel to `goals`: how much work and how
-    /// many rule firings each goal's processing consumed. Folded into the
-    /// representative when a cycle merges. Drives the top-k "hottest
-    /// goals" view and the critical-path analyzer ([`crate::inspect`]).
+    /// many rule firings each goal's processing consumed. Drives the
+    /// top-k "hottest goals" view and the critical-path analyzer
+    /// ([`crate::inspect`]).
     pub(crate) costs: Vec<GoalCost>,
     /// Whether the most recent query dispatched to the frame scheduler.
     /// Hosts that request parallel execution read this to report a
@@ -159,9 +155,6 @@ struct EngineCounters {
     fires: Counter,
     goals_activated: Counter,
     work: Counter,
-    cycles_runs: Counter,
-    cycles_collapsed: Counter,
-    cycles_merged_goals: Counter,
     share_hits: Counter,
     share_misses: Counter,
     share_publishes: Counter,
@@ -185,9 +178,6 @@ impl EngineCounters {
             fires: obs.counter("demand.fires"),
             goals_activated: obs.counter("demand.goals_activated"),
             work: obs.counter("demand.work"),
-            cycles_runs: obs.counter("demand.cycles.runs"),
-            cycles_collapsed: obs.counter("demand.cycles.collapsed"),
-            cycles_merged_goals: obs.counter("demand.cycles.merged_goals"),
             share_hits: obs.counter("demand.share.hits"),
             share_misses: obs.counter("demand.share.misses"),
             share_publishes: obs.counter("demand.share.publishes"),
@@ -214,7 +204,6 @@ impl<'p> DemandEngine<'p> {
     /// one [`Obs`] across engines and solvers to aggregate a whole run.
     pub fn with_obs(cp: &'p ConstraintProgram, config: DemandConfig, obs: Obs) -> Self {
         let counters = EngineCounters::new(&obs);
-        let cycles = CopyGraph::new(config.collapse_cycles, config.collapse_threshold);
         let flight = config.flight.then(|| {
             Arc::new(FlightRecorder::new(FlightConfig {
                 capacity: config.flight_capacity,
@@ -232,7 +221,6 @@ impl<'p> DemandEngine<'p> {
             counters,
             provenance: HashMap::new(),
             generation: 0,
-            cycles,
             shared: None,
             shared_gen: 0,
             published: HashSet::new(),
@@ -340,9 +328,6 @@ impl<'p> DemandEngine<'p> {
             fires: self.counters.fires.get(),
             goals_activated: self.counters.goals_activated.get(),
             work: self.counters.work.get(),
-            cycle_runs: self.counters.cycles_runs.get(),
-            cycles_collapsed: self.counters.cycles_collapsed.get(),
-            merged_goals: self.counters.cycles_merged_goals.get(),
             share_hits: self.counters.share_hits.get(),
             share_misses: self.counters.share_misses.get(),
             share_publishes: self.counters.share_publishes.get(),
@@ -352,6 +337,7 @@ impl<'p> DemandEngine<'p> {
             sched_resumed: self.counters.sched_resumed.get(),
             sched_steals: self.counters.sched_steals.get(),
             sched_wakeups: self.counters.sched_wakeups.get(),
+            ..EngineStats::default()
         }
     }
 
@@ -369,10 +355,6 @@ impl<'p> DemandEngine<'p> {
     }
 
     /// Drops all memoized state (used between queries when caching is off).
-    ///
-    /// Also rebuilds the cycle union-find: merged representatives are
-    /// meaningless once the goal table is gone, and a stale union-find
-    /// would silently fuse unrelated goals of the next table.
     pub fn clear(&mut self) {
         self.goals.clear();
         self.keys.clear();
@@ -381,7 +363,6 @@ impl<'p> DemandEngine<'p> {
         self.provenance.clear();
         self.published.clear();
         self.costs.clear();
-        self.cycles = CopyGraph::new(self.config.collapse_cycles, self.config.collapse_threshold);
     }
 
     /// The invalidation generation: starts at 0 and increments on every
@@ -445,11 +426,7 @@ impl<'p> DemandEngine<'p> {
         diff: &ddpa_constraints::ProgramDiff,
     ) -> EditStats {
         if !diff.compatible || !self.config.caching {
-            let dropped = self
-                .goals
-                .iter()
-                .filter(|s| !s.merged && s.complete)
-                .count();
+            let dropped = self.goals.iter().filter(|s| s.complete).count();
             self.reload(cp);
             return EditStats {
                 invalidated: dropped,
@@ -575,15 +552,15 @@ impl<'p> DemandEngine<'p> {
         }
         let mut steps = Vec::new();
         let mut current = (Goal::Pts(node), target.as_u32());
-        // Cycle collapsing can leave a fact recorded under any member of
-        // a merged goal family, so lookup may fall back from the exact
-        // key to the representative's key and its aliases. The visited
-        // set keeps those fallbacks from revisiting an entry; each loop
-        // iteration consumes a fresh entry, so the walk terminates.
-        let mut visited: HashSet<(Goal, u32)> = HashSet::new();
         loop {
-            let (entry_key, origin) = self.lookup_provenance(current.0, current.1, &visited)?;
-            visited.insert((entry_key, current.1));
+            // Each local derivation points at an older fact, but entries
+            // installed from a shared table or snapshot were recorded by
+            // another engine, so a mixed chain could revisit a fact. No
+            // acyclic chain is longer than the provenance map.
+            if steps.len() > self.provenance.len() {
+                return None;
+            }
+            let &origin = self.provenance.get(&current)?;
             steps.push(TraceStep {
                 goal: current.0,
                 elem: current.1,
@@ -596,61 +573,20 @@ impl<'p> DemandEngine<'p> {
         }
     }
 
-    /// Finds the provenance entry proving `value ∈ goal`: the exact key
-    /// first, then — when `goal` belongs to a collapsed cycle — the
-    /// representative's key and every merged-in alias. Entries already in
-    /// `visited` are skipped.
-    fn lookup_provenance(
-        &self,
-        goal: Goal,
-        value: u32,
-        visited: &HashSet<(Goal, u32)>,
-    ) -> Option<(Goal, Origin)> {
-        let try_key = |key: Goal| -> Option<(Goal, Origin)> {
-            if visited.contains(&(key, value)) {
-                return None;
-            }
-            self.provenance.get(&(key, value)).map(|&o| (key, o))
-        };
-        if let Some(hit) = try_key(goal) {
-            return Some(hit);
-        }
-        let &gi = self.index.get(&goal)?;
-        let rep = self.cycles.find_readonly(gi);
-        let rep_key = self.keys[rep as usize];
-        if rep_key != goal {
-            if let Some(hit) = try_key(rep_key) {
-                return Some(hit);
-            }
-        }
-        for &alias in &self.goals[rep as usize].aliases {
-            if alias == goal {
-                continue;
-            }
-            if let Some(hit) = try_key(alias) {
-                return Some(hit);
-            }
-        }
-        None
-    }
-
     // ------------------------------------------------------------------
     // Tabling machinery
     // ------------------------------------------------------------------
 
-    /// Activates `goal` and returns the index of the state holding it —
-    /// the *representative* index when the goal was merged into a cycle.
+    /// Activates `goal` and returns the index of the state holding it.
     fn activate(&mut self, goal: Goal) -> u32 {
         if let Some(&gi) = self.index.get(&goal) {
-            return self.cycles.find(gi);
+            return gi;
         }
         let gi = self.goals.len() as u32;
         self.goals.push(GoalState::new());
         self.keys.push(goal);
         self.index.insert(goal, gi);
         self.costs.push(GoalCost::default());
-        let slot = self.cycles.push();
-        debug_assert_eq!(slot, gi, "union-find aligned with goal table");
         self.counters.goals_activated.inc();
         self.flight_record(FlightEventKind::Activated, gi, 0, 0);
         if let Some(hit) = self.shared_lookup(goal) {
@@ -706,8 +642,7 @@ impl<'p> DemandEngine<'p> {
     /// Publishes every newly completed goal into the attached shared
     /// table. Called at global fixpoint: a completed set is the unique
     /// least-model answer for this generation, so any engine may reuse
-    /// it. Merged cycle members share one fixpoint — the representative's
-    /// set is published under its own key and every alias key.
+    /// it.
     fn shared_publish_completed(&mut self) {
         let Some(shared) = &self.shared else {
             return;
@@ -717,37 +652,27 @@ impl<'p> DemandEngine<'p> {
         }
         let shared = Arc::clone(shared);
         for gi in 0..self.goals.len() {
-            let state = &self.goals[gi];
-            if state.merged || !state.complete {
-                continue;
-            }
             let key = self.keys[gi];
-            if self.published.contains(&key) && state.aliases.is_empty() {
+            if !self.goals[gi].complete || !self.published.insert(key) {
                 continue;
             }
-            let mut entry: Option<CompletedGoal> = None;
-            for target in std::iter::once(key).chain(state.aliases.iter().copied()) {
-                if !self.published.insert(target) {
-                    continue;
-                }
-                let entry = entry.get_or_insert_with(|| self.completed_entry(gi, key));
-                let (published, evicted) = shared.publish(self.shared_gen, target, entry.clone());
-                if evicted > 0 {
-                    self.counters.share_evictions.add(evicted);
-                }
-                if published {
-                    self.counters.share_publishes.inc();
-                }
+            let (published, evicted) =
+                shared.publish(self.shared_gen, key, self.completed_entry(gi));
+            if evicted > 0 {
+                self.counters.share_evictions.add(evicted);
+            }
+            if published {
+                self.counters.share_publishes.inc();
             }
         }
     }
 
     /// Materializes the publishable [`CompletedGoal`] for the complete
-    /// goal at `gi` (provenance looked up under `key`). Member, support,
-    /// and dep orders are canonical, so entries are byte-stable
-    /// regardless of derivation order.
-    fn completed_entry(&self, gi: usize, key: Goal) -> CompletedGoal {
+    /// goal at `gi`. Member, support, and dep orders are canonical, so
+    /// entries are byte-stable regardless of derivation order.
+    fn completed_entry(&self, gi: usize) -> CompletedGoal {
         let state = &self.goals[gi];
+        let key = self.keys[gi];
         let elems: Vec<u32> = state.members.iter().collect();
         let provenance = if self.config.trace {
             elems
@@ -772,23 +697,13 @@ impl<'p> DemandEngine<'p> {
         }
     }
 
-    /// Every completed, non-merged local fixpoint as `(goal, entry)`
-    /// pairs — one entry per canonical key *and* per merged-in alias, so
-    /// the list is keyed exactly like the shared table.
+    /// Every completed local fixpoint as `(goal, entry)` pairs, keyed
+    /// exactly like the shared table.
     fn export_local_completed(&self) -> Vec<(Goal, CompletedGoal)> {
-        let mut out = Vec::new();
-        for gi in 0..self.goals.len() {
-            let state = &self.goals[gi];
-            if state.merged || !state.complete {
-                continue;
-            }
-            let key = self.keys[gi];
-            let entry = self.completed_entry(gi, key);
-            for target in std::iter::once(key).chain(state.aliases.iter().copied()) {
-                out.push((target, entry.clone()));
-            }
-        }
-        out
+        (0..self.goals.len())
+            .filter(|&gi| self.goals[gi].complete)
+            .map(|gi| (self.keys[gi], self.completed_entry(gi)))
+            .collect()
     }
 
     /// Installs a completed fixpoint as a tabled, complete goal without
@@ -814,8 +729,6 @@ impl<'p> DemandEngine<'p> {
         self.keys.push(goal);
         self.index.insert(goal, gi);
         self.costs.push(GoalCost::default());
-        let slot = self.cycles.push();
-        debug_assert_eq!(slot, gi, "union-find aligned with goal table");
         self.counters.goals_activated.inc();
         self.flight_record(FlightEventKind::Activated, gi, 0, 0);
         let state = &mut self.goals[gi as usize];
@@ -880,54 +793,41 @@ impl<'p> DemandEngine<'p> {
         );
         if inserted {
             if self.config.trace {
-                // Record under the canonical key so lookups after further
-                // merges still resolve (see `lookup_provenance`).
-                let key = self.keys[gi as usize];
-                self.provenance.insert((key, value), origin);
+                self.provenance.insert((goal, value), origin);
             }
             self.enqueue(gi);
         }
     }
 
     /// Installs `watcher` on `goal` (idempotent), starting from the first
-    /// element. `CopyTo` subscriptions double as edges of the copy graph
-    /// ([`CopyGraph::record_edge`]); one that targets the subscribed
-    /// goal's own state — a self copy, or a copy inside an already
-    /// collapsed cycle — is the identity and is suppressed.
+    /// element. A self copy (`x = x`) is the identity and is suppressed.
     fn subscribe_watcher(&mut self, goal: Goal, watcher: Watcher) {
         let gi = self.activate(goal);
         // The consumer's fixpoint reads the producer's set: record the
         // dependency edge so an edit dirtying the producer transitively
         // dirties the consumer (see `reload_incremental`). Recorded even
-        // for suppressed/duplicate subscriptions — `add_dep` dedups, and
-        // a same-family edge (consumer routed to `gi` itself) is skipped.
+        // for duplicate subscriptions — `add_dep` dedups — but not for a
+        // goal reading itself.
         if let Some(&ci) = self.index.get(&watcher.consumer()) {
-            let ci = self.cycles.find(ci);
             if ci != gi {
                 self.goals[ci as usize].add_dep(goal);
             }
         }
         if let Watcher::CopyTo { dst } = watcher {
-            if let Some(&di) = self.index.get(&Goal::Pts(dst)) {
-                if self.cycles.find(di) == gi {
-                    self.goals[gi as usize].registered.insert(watcher);
-                    return;
-                }
+            if Goal::Pts(dst) == goal {
+                return;
             }
         }
         let state = &mut self.goals[gi as usize];
         if state.registered.insert(watcher) {
             state.watchers.push(watcher);
             state.cursors.push(0);
-            if let Watcher::CopyTo { dst } = watcher {
-                self.cycles.record_edge(gi, dst);
-            }
             if self.flight.is_some() {
                 // The consumer goal now blocks on new elements of `gi`.
                 let consumer = self
                     .index
                     .get(&watcher.consumer())
-                    .map(|&ci| self.cycles.find_readonly(ci))
+                    .copied()
                     .unwrap_or(u32::MAX);
                 self.flight_record(FlightEventKind::Blocked, gi, consumer, 0);
             }
@@ -984,7 +884,6 @@ impl<'p> DemandEngine<'p> {
                             self.counters.flight_events.inc();
                         }
                     }
-                    self.cycles.tick();
                     let src = self.keys[gi as usize];
                     self.fire(src, watcher, elem);
                     progressed = true;
@@ -1000,27 +899,14 @@ impl<'p> DemandEngine<'p> {
     /// Drains the queue. Returns `true` when everything reached fixpoint.
     fn drain(&mut self, budget: &mut Budget) -> bool {
         while let Some(gi) = self.queue.pop_front() {
-            if self.cycles.due() {
-                self.collapse_now();
-            }
-            if self.cycles.find(gi) != gi {
-                // Merged away while queued: the representative carries
-                // this goal's pending work and was re-enqueued by the
-                // merge, so the stale entry is simply dropped.
-                continue;
-            }
             self.goals[gi as usize].on_list = false;
             if !self.process(gi, budget) {
                 return false;
             }
         }
-        // Global fixpoint: memoize everything as complete. Merged shells
-        // hold no state of their own — their representative does.
+        // Global fixpoint: memoize everything as complete.
         for gi in 0..self.goals.len() {
             let state = &mut self.goals[gi];
-            if state.merged {
-                continue;
-            }
             debug_assert!(state.quiescent(), "drained queue but goal not quiescent");
             if state.complete {
                 continue;
@@ -1034,125 +920,6 @@ impl<'p> DemandEngine<'p> {
         }
         self.shared_publish_completed();
         true
-    }
-
-    /// Runs an SCC pass over the discovered copy graph and merges every
-    /// non-trivial component that is still in flux.
-    fn collapse_now(&mut self) {
-        let _span = self.obs.span("demand.cycles.collapse");
-        self.counters.cycles_runs.inc();
-        let index = &self.index;
-        let comps = self
-            .cycles
-            .components(|dst| index.get(&Goal::Pts(dst)).copied());
-        for comp in comps {
-            // A completed goal is a frozen memo entry at fixpoint; at
-            // fixpoint the complete set is closed under deduction, so a
-            // component can only contain completed goals if it contains
-            // nothing else — and then there is no work left to save.
-            if comp.iter().any(|&g| self.goals[g as usize].complete) {
-                continue;
-            }
-            // Install static rules for members the queue has not reached
-            // yet: their subscriptions (including intra-cycle copies that
-            // the merge folds away) must exist before states move.
-            for &g in &comp {
-                if self.goals[g as usize].needs_init {
-                    self.goals[g as usize].needs_init = false;
-                    self.counters.work.inc();
-                    self.costs[g as usize].work += 1;
-                    match self.keys[g as usize] {
-                        Goal::Pts(x) => self.install_pts(x),
-                        Goal::Ptb(o) => self.install_ptb(o),
-                    }
-                }
-            }
-            let rep = self.cycles.union_all(&comp);
-            self.counters.cycles_collapsed.inc();
-            self.counters.cycles_merged_goals.add(comp.len() as u64 - 1);
-            self.flight_record(
-                FlightEventKind::CycleMerged,
-                rep,
-                comp.len().min(u32::MAX as usize) as u32,
-                0,
-            );
-            self.merge_component(&comp, rep);
-        }
-    }
-
-    /// Folds every goal of `comp` into the state at `rep` (which
-    /// [`CopyGraph::union_all`] made the representative): one shared
-    /// member set, a deduplicated watcher list, and intra-cycle copy
-    /// edges dropped. Carried-over watchers rescan from element zero —
-    /// firing is idempotent, so the rescan is a bounded one-time cost.
-    fn merge_component(&mut self, comp: &[u32], rep: u32) {
-        let mut merged = std::mem::take(&mut self.goals[rep as usize]);
-        for &g in comp {
-            if g == rep {
-                continue;
-            }
-            let state = std::mem::take(&mut self.goals[g as usize]);
-            let shell = &mut self.goals[g as usize];
-            shell.merged = true;
-            shell.needs_init = false;
-            // Attribution follows the state into the representative.
-            let cost = std::mem::take(&mut self.costs[g as usize]);
-            self.costs[rep as usize].work += cost.work;
-            self.costs[rep as usize].fires += cost.fires;
-            merged.aliases.push(self.keys[g as usize]);
-            merged.aliases.extend(state.aliases.iter().copied());
-            for &v in &state.elems {
-                if merged.members.insert(v) {
-                    merged.elems.push(v);
-                }
-            }
-            for &w in &state.watchers {
-                if merged.registered.insert(w) {
-                    merged.watchers.push(w);
-                    merged.cursors.push(0);
-                }
-            }
-            // Suppressed registrations (identity copies) must keep
-            // deduplicating future subscriptions.
-            for w in state.registered {
-                merged.registered.insert(w);
-            }
-            // The merged fixpoint read everything its members read: the
-            // representative's support/deps must cover them all, or an
-            // edit touching one member's rows would fail to dirty the
-            // family's shared entry.
-            for n in state.support.iter() {
-                merged.support.insert(n);
-            }
-            for dep in state.deps {
-                merged.add_dep(dep);
-            }
-            merged.reads_indirect |= state.reads_indirect;
-        }
-        // Copy edges that now point inside the merged family are the
-        // identity: drop them from the active list. They stay
-        // `registered`, so re-subscription attempts still dedup.
-        let mut watchers = Vec::with_capacity(merged.watchers.len());
-        let mut cursors = Vec::with_capacity(merged.cursors.len());
-        for (&w, &c) in merged.watchers.iter().zip(&merged.cursors) {
-            let internal = match w {
-                Watcher::CopyTo { dst } => self
-                    .index
-                    .get(&Goal::Pts(dst))
-                    .is_some_and(|&di| self.cycles.find_readonly(di) == rep),
-                _ => false,
-            };
-            if !internal {
-                watchers.push(w);
-                cursors.push(c);
-            }
-        }
-        merged.watchers = watchers;
-        merged.cursors = cursors;
-        merged.needs_init = false;
-        merged.on_list = false;
-        self.goals[rep as usize] = merged;
-        self.enqueue(rep);
     }
 
     fn run(&mut self, goal: Goal) -> QueryResult {
@@ -1176,8 +943,7 @@ impl<'p> DemandEngine<'p> {
             let cached = self
                 .index
                 .get(&goal)
-                .map(|&gi| self.cycles.find_readonly(gi))
-                .is_some_and(|gi| self.goals[gi as usize].complete);
+                .is_some_and(|&gi| self.goals[gi as usize].complete);
             if !cached {
                 return self.run_parallel(goal);
             }
@@ -1201,8 +967,6 @@ impl<'p> DemandEngine<'p> {
         if drained {
             self.counters.complete_queries.inc();
         }
-        // The goal may have merged into a cycle representative mid-drain.
-        let gi = self.cycles.find(gi);
         QueryResult {
             pts: self.snapshot(gi),
             complete: self.goals[gi as usize].complete,
@@ -1232,7 +996,6 @@ impl<'p> DemandEngine<'p> {
             let view = EngineView {
                 goals: &self.goals,
                 index: &self.index,
-                cycles: &self.cycles,
             };
             sched.solve_seeded(goal, Some(&view))
         };
@@ -1314,14 +1077,12 @@ impl<'p> Deduce<'p> for DemandEngine<'p> {
 
     fn note_support(&mut self, goal: Goal, node: NodeId) {
         if let Some(&gi) = self.index.get(&goal) {
-            let gi = self.cycles.find(gi);
             self.goals[gi as usize].support.insert(node.as_u32());
         }
     }
 
     fn note_indirect(&mut self, goal: Goal) {
         if let Some(&gi) = self.index.get(&goal) {
-            let gi = self.cycles.find(gi);
             self.goals[gi as usize].reads_indirect = true;
         }
     }
@@ -1751,90 +1512,25 @@ mod cycle_tests {
     }
 
     #[test]
-    fn ring_collapses_to_one_representative() {
+    fn ring_members_are_cached_complete() {
         let cp = ring_program(8, 2);
-        let mut engine = DemandEngine::new(&cp, DemandConfig::default().with_collapse_threshold(1));
-        let r = engine.points_to(node(&cp, "tail"));
-        assert!(r.complete);
-        let names: Vec<String> = r.pts.iter().map(|&n| cp.display_node(n)).collect();
-        assert_eq!(names, vec!["obj_0", "obj_1"]);
-        let stats = engine.stats();
-        assert!(stats.cycle_runs >= 1, "SCC pass ran");
-        assert!(stats.cycles_collapsed >= 1, "the ring was collapsed");
-        assert_eq!(stats.merged_goals, 7, "eight goals fused into one");
-    }
-
-    #[test]
-    fn collapsing_matches_uncollapsed_answers() {
-        // Every query form, on vs off, on a program mixing a ring with
-        // loads and stores through it.
-        let cp = ddpa_constraints::parse_constraints(
-            "x = y\ny = z\nz = x\nx = &a\nz = &b\n\
-             p = &x\n*p = z\nw = *p\nq = x\n",
-        )
-        .expect("parses");
-        let mut on = DemandEngine::new(&cp, DemandConfig::default().with_collapse_threshold(1));
-        let mut off = DemandEngine::new(&cp, DemandConfig::default().without_cycle_collapsing());
-        for n in cp.node_ids() {
-            assert_eq!(on.points_to(n).pts, off.points_to(n).pts, "pts diverged");
-            assert_eq!(
-                on.pointed_to_by(n).pts,
-                off.pointed_to_by(n).pts,
-                "ptb diverged"
-            );
-        }
-        assert!(on.stats().cycles_collapsed >= 1, "collapse actually ran");
-    }
-
-    #[test]
-    fn collapsing_reduces_work_on_rings() {
-        let cp = ring_program(64, 16);
-        let work_of = |config: DemandConfig| {
-            let mut e = DemandEngine::new(&cp, config);
-            let r = e.points_to(node(&cp, "tail"));
-            assert!(r.complete);
-            (e.stats().work, e.stats().fires, r.pts)
-        };
-        let (work_on, fires_on, pts_on) =
-            work_of(DemandConfig::default().with_collapse_threshold(8));
-        let (work_off, fires_off, pts_off) =
-            work_of(DemandConfig::default().without_cycle_collapsing());
-        assert_eq!(pts_on, pts_off, "answers bit-identical");
-        assert!(
-            work_on * 2 <= work_off,
-            "expected ≥2× work reduction, got {work_on} vs {work_off}"
-        );
-        assert!(
-            fires_on * 2 <= fires_off,
-            "expected ≥2× fire reduction, got {fires_on} vs {fires_off}"
-        );
-    }
-
-    #[test]
-    fn collapsed_goals_are_cached_complete() {
-        let cp = ring_program(8, 2);
-        let mut engine = DemandEngine::new(&cp, DemandConfig::default().with_collapse_threshold(1));
+        let mut engine = DemandEngine::new(&cp, DemandConfig::default());
         let first = engine.points_to(node(&cp, "r3"));
         assert!(first.complete && first.work > 0);
-        // Every ring member now answers from the shared memo entry.
+        // One drain reaches every ring member, so each answers from the memo.
         for i in 0..8 {
             let r = engine.points_to(node(&cp, &format!("r{i}")));
             assert!(r.complete);
-            assert_eq!(r.work, 0, "r{i} served from the merged memo");
+            assert_eq!(r.work, 0, "r{i} served from the memo");
             assert_eq!(r.pts, first.pts);
         }
         assert_eq!(engine.stats().cache_hits, 8);
     }
 
     #[test]
-    fn budget_resumption_with_collapsing() {
+    fn budget_resumption_on_a_ring() {
         let cp = ring_program(32, 4);
-        let mut engine = DemandEngine::new(
-            &cp,
-            DemandConfig::default()
-                .with_collapse_threshold(4)
-                .with_budget(10),
-        );
+        let mut engine = DemandEngine::new(&cp, DemandConfig::default().with_budget(10));
         let tail = node(&cp, "tail");
         let mut attempts = 0;
         loop {
@@ -1854,36 +1550,7 @@ mod cycle_tests {
     }
 
     #[test]
-    fn reload_resets_union_find() {
-        // First program: x, y, z form a cycle and collapse. Second
-        // program: the cycle is broken (z no longer feeds x) — a stale
-        // union-find would keep serving the merged set.
-        let before = ddpa_constraints::parse_constraints("x = y\ny = z\nz = x\nx = &a\nz = &b\n")
-            .expect("parses");
-        let after =
-            ddpa_constraints::parse_constraints("x = y\ny = z\nz = &b\nx = &a\n").expect("parses");
-        let mut engine =
-            DemandEngine::new(&before, DemandConfig::default().with_collapse_threshold(1));
-        let r1 = engine.points_to(node(&before, "x"));
-        assert_eq!(r1.pts.len(), 2, "cycle: x sees both objects");
-        assert!(engine.stats().cycles_collapsed >= 1);
-
-        engine.reload(&after);
-        let z = engine.points_to(node(&after, "z"));
-        assert_eq!(
-            z.pts
-                .iter()
-                .map(|&n| after.display_node(n))
-                .collect::<Vec<_>>(),
-            vec!["b"],
-            "broken cycle: z no longer sees a"
-        );
-        let x = engine.points_to(node(&after, "x"));
-        assert_eq!(x.pts.len(), 2, "x still reads z through the chain");
-    }
-
-    #[test]
-    fn self_copy_is_suppressed() {
+    fn self_copy_is_a_no_op() {
         let cp = ddpa_constraints::parse_constraints("x = x\nx = &o\n").expect("parses");
         let mut engine = DemandEngine::new(&cp, DemandConfig::default());
         let r = engine.points_to(node(&cp, "x"));
@@ -1892,19 +1559,13 @@ mod cycle_tests {
     }
 
     #[test]
-    fn explanation_survives_merging() {
+    fn explanations_reach_a_base_fact_around_a_ring() {
         let cp = ring_program(8, 2);
-        let mut engine = DemandEngine::new(
-            &cp,
-            DemandConfig::default()
-                .with_collapse_threshold(1)
-                .with_trace(),
-        );
+        let mut engine = DemandEngine::new(&cp, DemandConfig::default().with_trace());
         let obj_a = node(&cp, "obj_0");
         let obj_b = node(&cp, "obj_1");
         assert!(engine.points_to(node(&cp, "tail")).complete);
-        assert!(engine.stats().cycles_collapsed >= 1, "merge happened");
-        // Every merged member (and the tail) can still explain both facts.
+        // Every ring member (and the tail) can explain both facts.
         let mut queries: Vec<NodeId> = (0..8).map(|i| node(&cp, &format!("r{i}"))).collect();
         queries.push(node(&cp, "tail"));
         for v in queries {
@@ -1915,18 +1576,6 @@ mod cycle_tests {
                 assert_eq!(e.steps.last().expect("nonempty").origin, Origin::Base);
             }
         }
-    }
-
-    #[test]
-    fn stats_stay_zero_when_disabled() {
-        let cp = ring_program(8, 2);
-        let mut engine = DemandEngine::new(&cp, DemandConfig::default().without_cycle_collapsing());
-        let r = engine.points_to(node(&cp, "tail"));
-        assert!(r.complete);
-        let stats = engine.stats();
-        assert_eq!(stats.cycle_runs, 0);
-        assert_eq!(stats.cycles_collapsed, 0);
-        assert_eq!(stats.merged_goals, 0);
     }
 }
 

@@ -213,14 +213,6 @@ pub struct GoalState {
     pub complete: bool,
     /// Currently queued for processing.
     pub on_list: bool,
-    /// This state was merged into a cycle representative and is now an
-    /// empty shell; all lookups route to the representative via the
-    /// engine's union-find (see [`crate::cycles::CopyGraph`]).
-    pub merged: bool,
-    /// Keys of goals merged *into* this state. Provenance entries recorded
-    /// before the merge live under these keys, so explanation lookup tries
-    /// them after the canonical key.
-    pub aliases: Vec<Goal>,
     /// Support set: nodes whose program rows this goal's fixpoint read.
     /// An edit that changes any of these rows dirties the goal; an edit
     /// that changes none of them (and no dirty producer, see `deps`)
@@ -247,8 +239,6 @@ impl GoalState {
             needs_init: true,
             complete: false,
             on_list: false,
-            merged: false,
-            aliases: Vec::new(),
             support: HybridSet::new(),
             deps: Vec::new(),
             reads_indirect: false,

@@ -8,7 +8,7 @@
 //!   [`DemandEngine::hottest_goals`]) — per-goal work/fires, the "top"
 //!   view of where a query's budget went;
 //! * **The goal dependency graph** ([`DemandEngine::goal_graph`]) —
-//!   one node per live (non-merged) goal, one edge per watcher from the
+//!   one node per tabled goal, one edge per watcher from the
 //!   *producer* goal it is installed on to the *consumer* goal it
 //!   delivers into ([`Watcher::consumer`]), exportable as Graphviz DOT
 //!   or JSON;
@@ -22,7 +22,6 @@
 //! Everything here reads engine state without mutating it, so
 //! introspection never perturbs deduction.
 
-use std::collections::HashMap;
 use std::fmt::Write as _;
 
 use ddpa_constraints::ConstraintProgram;
@@ -44,13 +43,12 @@ fn esc(label: &str) -> String {
     label.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
-/// Work/fires attribution for one live goal.
+/// Work/fires attribution for one tabled goal.
 #[derive(Clone, Copy, Debug)]
 pub struct GoalProfile {
     /// The goal's canonical key.
     pub goal: Goal,
-    /// Work ticks charged while processing this goal (cycle members fold
-    /// into their representative).
+    /// Work ticks charged while processing this goal.
     pub work: u64,
     /// Rule firings delivered while processing this goal.
     pub fires: u64,
@@ -94,7 +92,7 @@ pub struct GoalEdge {
 /// vacuous for scheduling and clutter the render.
 #[derive(Clone, Debug, Default)]
 pub struct GoalGraph {
-    /// Live (non-merged) goals.
+    /// Tabled goals, in table order.
     pub nodes: Vec<GoalGraphNode>,
     /// Deduplicated dependency edges between distinct nodes.
     pub edges: Vec<GoalEdge>,
@@ -175,7 +173,7 @@ impl GoalGraph {
 /// The work/span profile of the tabled goal graph.
 #[derive(Clone, Debug)]
 pub struct CriticalPath {
-    /// Total attributed work `W` across all live goals.
+    /// Total attributed work `W` across all tabled goals.
     pub work: u64,
     /// Span `S`: the heaviest chain of dependent work (computed over the
     /// SCC condensation, each component weighing the sum of its members).
@@ -184,7 +182,7 @@ pub struct CriticalPath {
     /// An ideal scheduler with unlimited workers finishes in `S`, so no
     /// intra-query parallelization can beat `W/S`-fold speedup.
     pub headroom: f64,
-    /// Live goals considered.
+    /// Tabled goals considered.
     pub goals: usize,
     /// Dependency edges between distinct condensation components.
     pub edges: usize,
@@ -217,23 +215,15 @@ impl CriticalPath {
 }
 
 impl<'p> DemandEngine<'p> {
-    /// Live (non-merged) goal indices, in table order.
-    fn live_goals(&self) -> Vec<u32> {
-        (0..self.goals.len() as u32)
-            .filter(|&gi| !self.goals[gi as usize].merged)
-            .collect()
-    }
-
-    /// Per-goal work/fires attribution for every live goal, in table
-    /// order. Merged cycle members are folded into their representative.
+    /// Per-goal work/fires attribution for every tabled goal, in table
+    /// order.
     pub fn goal_profiles(&self) -> Vec<GoalProfile> {
-        self.live_goals()
-            .into_iter()
+        (0..self.goals.len())
             .map(|gi| {
-                let state = &self.goals[gi as usize];
-                let cost = self.costs[gi as usize];
+                let state = &self.goals[gi];
+                let cost = self.costs[gi];
                 GoalProfile {
-                    goal: self.keys[gi as usize],
+                    goal: self.keys[gi],
                     work: cost.work,
                     fires: cost.fires,
                     complete: state.complete,
@@ -253,20 +243,18 @@ impl<'p> DemandEngine<'p> {
         profiles
     }
 
-    /// The goal dependency graph over the live goals: an edge per watcher
-    /// from its producer goal to its consumer ([`Watcher::consumer`]),
-    /// deduplicated, self-loops omitted.
+    /// The goal dependency graph over the tabled goals (node `i` is goal
+    /// index `i`): an edge per watcher from its producer goal to its
+    /// consumer ([`Watcher::consumer`]), deduplicated, self-loops omitted.
+    /// A watcher whose consumer is not tabled (it was installed
+    /// speculatively) has no edge.
     pub fn goal_graph(&self) -> GoalGraph {
-        let live = self.live_goals();
-        let node_of: HashMap<u32, usize> =
-            live.iter().enumerate().map(|(i, &gi)| (gi, i)).collect();
-        let nodes = live
-            .iter()
-            .map(|&gi| {
-                let state = &self.goals[gi as usize];
-                let cost = self.costs[gi as usize];
+        let nodes = (0..self.goals.len())
+            .map(|gi| {
+                let state = &self.goals[gi];
+                let cost = self.costs[gi];
                 GoalGraphNode {
-                    goal: self.keys[gi as usize],
+                    goal: self.keys[gi],
                     work: cost.work,
                     fires: cost.fires,
                     complete: state.complete,
@@ -275,11 +263,12 @@ impl<'p> DemandEngine<'p> {
             .collect();
         let mut seen = std::collections::HashSet::new();
         let mut edges = Vec::new();
-        for (from, &gi) in live.iter().enumerate() {
-            for watcher in &self.goals[gi as usize].watchers {
-                let Some(to) = self.consumer_node(watcher, &node_of) else {
+        for (from, state) in self.goals.iter().enumerate() {
+            for watcher in &state.watchers {
+                let Some(&to) = self.index.get(&watcher.consumer()) else {
                     continue;
                 };
+                let to = to as usize;
                 if to == from {
                     continue;
                 }
@@ -294,16 +283,6 @@ impl<'p> DemandEngine<'p> {
             }
         }
         GoalGraph { nodes, edges }
-    }
-
-    /// Resolves a watcher's consumer goal to a live-node index: tabled
-    /// goals route through the cycle union-find to their representative;
-    /// untabled consumers (the watcher was installed speculatively) have
-    /// no node. Tolerant by construction — a half-built table just yields
-    /// fewer edges.
-    fn consumer_node(&self, watcher: &Watcher, node_of: &HashMap<u32, usize>) -> Option<usize> {
-        let &ci = self.index.get(&watcher.consumer())?;
-        node_of.get(&self.cycles.find_readonly(ci)).copied()
     }
 
     /// Computes the work/span profile of the current goal table: total
@@ -450,9 +429,6 @@ impl<'p> DemandEngine<'p> {
                     K::Completed => {
                         fields.push(("elems".to_owned(), JsonValue::U64(e.b as u64)));
                         fields.push(("work".to_owned(), JsonValue::U64(e.work as u64)));
-                    }
-                    K::CycleMerged => {
-                        fields.push(("members".to_owned(), JsonValue::U64(e.b as u64)));
                     }
                     K::Parked | K::Woken => {
                         fields.push(("worker".to_owned(), JsonValue::U64(e.b as u64)));
@@ -630,10 +606,10 @@ mod tests {
     }
 
     #[test]
-    fn collapsed_cycles_condense_into_one_node() {
+    fn copy_cycles_condense_into_one_component() {
         let cp =
             ddpa_constraints::parse_constraints("x = y\ny = x\nx = &a\ny = &b\n").expect("parses");
-        let mut engine = DemandEngine::new(&cp, DemandConfig::default().with_collapse_threshold(1));
+        let mut engine = DemandEngine::new(&cp, DemandConfig::default());
         assert!(engine.points_to(node(&cp, "x")).complete);
         let graph = engine.goal_graph();
         let pts_nodes = graph
@@ -641,9 +617,17 @@ mod tests {
             .iter()
             .filter(|n| matches!(n.goal, Goal::Pts(_)))
             .count();
-        assert_eq!(pts_nodes, 1, "x/y merged into one representative node");
+        assert_eq!(pts_nodes, 2, "x and y keep a node each");
+        let copies = graph.edges.iter().filter(|e| e.kind == "copy_to").count();
+        assert_eq!(copies, 2, "one copy edge each way around the cycle");
         let profile = engine.critical_path();
-        assert_eq!(profile.work, engine.stats().work, "merged costs preserved");
+        assert_eq!(
+            profile.work,
+            engine.stats().work,
+            "every goal's cost counted"
+        );
+        assert_eq!(profile.edges, 0, "the x/y cycle is one component");
+        assert_eq!(profile.span, profile.work);
     }
 
     #[test]

@@ -42,7 +42,6 @@
 
 pub mod budget;
 pub mod config;
-pub mod cycles;
 pub mod engine;
 pub mod goal;
 pub mod inspect;
@@ -59,7 +58,6 @@ pub mod trace;
 
 pub use budget::Budget;
 pub use config::{DemandConfig, SchedPolicy};
-pub use cycles::CopyGraph;
 pub use engine::{DemandEngine, EditStats};
 pub use inspect::{display_goal, CriticalPath, GoalGraph, GoalProfile};
 pub use ladder::BudgetLadder;

@@ -213,11 +213,9 @@ mod tests {
     }
 
     #[test]
-    fn cycle_collapsing_is_invisible_across_workers() {
-        // A closed copy ring: every worker's private engine discovers and
-        // collapses the cycle independently (the union-find is per-engine
-        // state, inherited through the cloned config), and answers must
-        // match the sequential engine with collapsing off.
+    fn copy_rings_match_across_workers() {
+        // A closed copy ring: every worker's private engine solves the
+        // ring independently, and answers must match the sequential run.
         let mut b = ddpa_constraints::ConstraintBuilder::new();
         let ring: Vec<_> = (0..48).map(|i| b.var(&format!("r{i}"))).collect();
         for i in 1..ring.len() {
@@ -230,12 +228,11 @@ mod tests {
         }
         let cp = b.build();
         let queries: Vec<_> = ring.clone();
-        let on = DemandConfig::default().with_collapse_threshold(4);
-        let off = DemandConfig::default().without_cycle_collapsing();
-        let baseline = points_to_parallel(&cp, &queries, 1, &off);
+        let config = DemandConfig::default();
+        let baseline = points_to_parallel(&cp, &queries, 1, &config);
         for threads in [2, 4] {
-            let collapsed = points_to_parallel(&cp, &queries, threads, &on);
-            for (s, p) in baseline.iter().zip(&collapsed) {
+            let parallel = points_to_parallel(&cp, &queries, threads, &config);
+            for (s, p) in baseline.iter().zip(&parallel) {
                 assert_eq!(s.pts, p.pts);
                 assert!(p.complete);
             }

@@ -20,9 +20,8 @@
 //!
 //! The pool itself carries no analysis state: each worker job constructs
 //! its own [`DemandEngine`](crate::DemandEngine) from a configuration the
-//! *driver* clones in (so settings like cycle collapsing and its
-//! threshold are inherited per worker, never shared — a worker's
-//! union-find over merged goals is private to its engine).
+//! *driver* clones in, so every worker inherits the same settings and
+//! its memo table stays private to its engine.
 
 use std::any::Any;
 use std::collections::VecDeque;

@@ -6,9 +6,8 @@
 //! [`DemandEngine::begin_trace`] snapshots the counters and starts the
 //! clock, and [`QueryTrace::finish`] closes the bracket into a
 //! [`TraceReport`] holding the *deltas* — rule fires, goals activated,
-//! work (budget) spent, cache and share-table traffic, cycle collapses —
-//! plus the wall time and the invalidation generation the answer was
-//! computed under.
+//! work (budget) spent, cache and share-table traffic — plus the wall
+//! time and the invalidation generation the answer was computed under.
 //!
 //! Because deltas come from the shared registry, a traced batch request
 //! whose parallel workers share the session's `Obs` attributes the
@@ -99,10 +98,6 @@ impl TraceReport {
             ("cache_hits".to_owned(), JsonValue::U64(d.cache_hits)),
             ("share_hits".to_owned(), JsonValue::U64(d.share_hits)),
             ("share_misses".to_owned(), JsonValue::U64(d.share_misses)),
-            (
-                "cycles_collapsed".to_owned(),
-                JsonValue::U64(d.cycles_collapsed),
-            ),
         ])
     }
 }
@@ -179,7 +174,6 @@ mod tests {
             "cache_hits",
             "share_hits",
             "share_misses",
-            "cycles_collapsed",
         ] {
             assert!(
                 v.get(key).and_then(JsonValue::as_u64).is_some(),

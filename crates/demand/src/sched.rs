@@ -25,8 +25,8 @@
 //! and the exhaustive wave solver.
 //!
 //! The same argument gives deterministic total work: the fire multiset is
-//! the same as the sequential engine's (collapse-off), so
-//! [`SchedStats::work`] is *equal* — not merely close — on a fresh table.
+//! the same as the sequential engine's, so [`SchedStats::work`] is
+//! *equal* — not merely close — on a fresh table.
 //!
 //! # Addressing
 //!
@@ -53,7 +53,6 @@ use ddpa_constraints::{ConstraintProgram, NodeId};
 use ddpa_obs::{FlightEventKind, FlightRecorder, Obs};
 
 use crate::config::{DemandConfig, SchedPolicy};
-use crate::cycles::CopyGraph;
 use crate::goal::{Goal, GoalState, Watcher};
 use crate::pool::StealQueue;
 use crate::rules::Deduce;
@@ -165,15 +164,13 @@ pub struct SolveOutcome {
 pub(crate) struct EngineView<'a> {
     pub goals: &'a [GoalState],
     pub index: &'a HashMap<Goal, u32>,
-    pub cycles: &'a CopyGraph,
 }
 
 impl EngineView<'_> {
     /// The engine's completed element set for `goal`, if it has one.
     fn lookup(&self, goal: Goal) -> Option<Vec<u32>> {
         let &gi = self.index.get(&goal)?;
-        let rep = self.cycles.find_readonly(gi);
-        let state = &self.goals[rep as usize];
+        let state = &self.goals[gi as usize];
         state.complete.then(|| state.members.iter().collect())
     }
 }
@@ -676,10 +673,10 @@ mod tests {
     }
 
     #[test]
-    fn parallel_work_equals_sequential_collapse_off_work() {
+    fn parallel_work_equals_sequential_work() {
         let src = "p = &o\nx = &t\n*p = x\ny = *p\nq = p\nr = q\ns = r\n";
         let cp = ddpa_constraints::parse_constraints(src).expect("parses");
-        let mut engine = DemandEngine::new(&cp, DemandConfig::new().without_cycle_collapsing());
+        let mut engine = DemandEngine::new(&cp, DemandConfig::new());
         let seq = engine.points_to(node(&cp, "y"));
         let sched = Scheduler::new(&cp, DemandConfig::new().with_workers(4));
         let par = sched.solve(Goal::Pts(node(&cp, "y")));

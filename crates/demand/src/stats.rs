@@ -20,12 +20,13 @@ pub struct EngineStats {
     pub goals_activated: u64,
     /// Total work units charged (fires + goal initializations).
     pub work: u64,
-    /// SCC passes run over the discovered copy graph.
+    /// Always 0. The demand engine no longer collapses copy cycles; this
+    /// field and the next two stay only so that code reading them, such
+    /// as the end-to-end benchmark, keeps compiling.
     pub cycle_runs: u64,
-    /// Copy cycles collapsed into a representative goal.
+    /// Always 0; see [`EngineStats::cycle_runs`].
     pub cycles_collapsed: u64,
-    /// Goals merged away into a representative (excludes the
-    /// representatives themselves).
+    /// Always 0; see [`EngineStats::cycle_runs`].
     pub merged_goals: u64,
     /// Goals installed from an attached [`crate::SharedMemo`] (each one
     /// a whole subtree of rule firings saved).
@@ -77,11 +78,6 @@ impl EngineStats {
             fires: self.fires.saturating_sub(before.fires),
             goals_activated: self.goals_activated.saturating_sub(before.goals_activated),
             work: self.work.saturating_sub(before.work),
-            cycle_runs: self.cycle_runs.saturating_sub(before.cycle_runs),
-            cycles_collapsed: self
-                .cycles_collapsed
-                .saturating_sub(before.cycles_collapsed),
-            merged_goals: self.merged_goals.saturating_sub(before.merged_goals),
             share_hits: self.share_hits.saturating_sub(before.share_hits),
             share_misses: self.share_misses.saturating_sub(before.share_misses),
             share_publishes: self.share_publishes.saturating_sub(before.share_publishes),
@@ -91,6 +87,7 @@ impl EngineStats {
             sched_resumed: self.sched_resumed.saturating_sub(before.sched_resumed),
             sched_steals: self.sched_steals.saturating_sub(before.sched_steals),
             sched_wakeups: self.sched_wakeups.saturating_sub(before.sched_wakeups),
+            ..EngineStats::default()
         }
     }
 }

@@ -69,9 +69,9 @@ fn random_scripted(rng: &mut Rng) -> Scripted {
     }
 }
 
-/// Copy cycles with address-of facts hanging off them: edits inside one
-/// SCC must dirty the merged representative's consumers and nothing in
-/// disjoint cycles.
+/// Copy cycles with address-of facts hanging off them: an edit inside one
+/// cycle must dirty every member of that cycle and their consumers, and
+/// nothing in disjoint cycles.
 fn cyclic_scripted(rng: &mut Rng) -> Scripted {
     let cycles = rng.gen_range(2..4usize);
     let len = rng.gen_range(2..5usize);

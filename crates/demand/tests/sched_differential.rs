@@ -135,8 +135,9 @@ fn parallel_ptb_and_alias_match_sequential() {
     }
 }
 
-/// Cycle-dominated programs: online cycle collapsing runs inside worker
-/// frames too, and the collapsed answers stay exact for every policy.
+/// Cycle-dominated programs: ring members depend on each other
+/// recursively across worker frames, and answers stay exact for every
+/// policy.
 #[test]
 fn parallel_matches_wave_on_cyclic_programs() {
     for (i, seed) in [3u64, 17, 41].into_iter().enumerate() {

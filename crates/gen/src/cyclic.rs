@@ -1,18 +1,17 @@
-//! Cycle-dominated constraint programs — the T6 workload.
+//! Cycle-dominated constraint programs.
 //!
-//! Heintze & Tardieu's cycle-merging rule pays off when copy cycles carry
-//! most of the value flow: without collapsing, a ring of `L` copy-related
-//! pointers costs `L` rule firings *per flowing object*; collapsed, the
-//! ring is one goal and each object is delivered once. This generator
-//! builds programs where that regime dominates: `rings` copy rings of
-//! `ring_len` variables, each seeded with `objs_per_ring` address-of
-//! constraints spread around it, chained so ring `r` also receives
+//! Copy cycles make demand goals depend on each other recursively: a ring
+//! of `L` copy-related pointers costs `L` rule firings *per flowing
+//! object*, and each member's fixpoint waits on the others. This
+//! generator builds programs where that regime dominates: `rings` copy
+//! rings of `ring_len` variables, each seeded with `objs_per_ring`
+//! address-of constraints spread around it, chained so ring `r` also receives
 //! everything flowing through ring `r-1`, plus a few tail variables per
 //! ring reading out of it (the query targets).
 //!
 //! Every ring member's final points-to set is the union of its ring's
 //! objects and all upstream rings' objects — easy to predict, expensive to
-//! deduce member-by-member, cheap once merged.
+//! deduce member by member.
 
 use ddpa_constraints::{ConstraintBuilder, ConstraintProgram, NodeId};
 use ddpa_support::rng::Rng;
@@ -121,37 +120,5 @@ mod tests {
         let last = engine.points_to(node("ring2_tail0"));
         assert!(last.complete);
         assert_eq!(last.pts.len(), 9);
-    }
-
-    #[test]
-    fn collapsing_halves_work_at_least() {
-        let cp = generate_cyclic(&CyclicConfig::sized(1, 6));
-        // Query the pointer variables (the demand scenario); object nodes
-        // exercise the ptb judgment, whose flow is one shared goal per
-        // object and has no per-goal duplication for collapsing to save.
-        let queries: Vec<_> = cp
-            .node_ids()
-            .filter(|&n| !cp.display_node(n).contains("obj"))
-            .collect();
-        let run = |config: DemandConfig| {
-            let mut e = DemandEngine::new(&cp, config);
-            let mut answers = Vec::new();
-            for &n in &queries {
-                let r = e.points_to(n);
-                assert!(r.complete);
-                answers.push(r.pts);
-            }
-            (e.stats(), answers)
-        };
-        let (on, ans_on) = run(DemandConfig::default());
-        let (off, ans_off) = run(DemandConfig::default().without_cycle_collapsing());
-        assert_eq!(ans_on, ans_off, "answers bit-identical");
-        assert!(
-            on.work * 2 <= off.work,
-            "expected ≥2× work reduction on the T6 workload, got {} vs {}",
-            on.work,
-            off.work
-        );
-        assert!(on.fires * 2 <= off.fires);
     }
 }

@@ -9,8 +9,8 @@
 //!
 //! * [`random`] — seeded random constraint programs with a configurable
 //!   mix and locality;
-//! * [`cyclic`] — cycle-dominated programs (copy rings) for the online
-//!   cycle-collapsing experiment (bench table T6);
+//! * [`cyclic`] — cycle-dominated programs (copy rings) for the
+//!   ring-program differentials and the bench's `cyc-*` rows;
 //! * [`minic`] — structured MiniC source programs (layered call graphs,
 //!   function-pointer dispatch tables), exercised through the full
 //!   parse → check → lower pipeline;

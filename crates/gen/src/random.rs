@@ -49,8 +49,8 @@ pub struct RandomConfig {
     pub fp_seeds: usize,
     /// Copy cycles forced into the program (0 = none). Each ring threads
     /// [`RandomConfig::cycle_len`] existing variables of one community, so
-    /// the cycles entangle with the surrounding flow — the workload for
-    /// the engine's online cycle collapsing.
+    /// the cycles entangle with the surrounding flow — the workload of
+    /// the ring-program differential.
     pub copy_cycles: usize,
     /// Variables per forced copy cycle (clamped to `2..=BLOCK`).
     pub cycle_len: usize,

@@ -55,9 +55,6 @@ pub enum FlightEventKind {
     /// index, `b` = 0 for the local table, 1 for the shared cross-worker
     /// table.
     MemoHit,
-    /// A copy cycle was collapsed into one representative. `a` =
-    /// representative goal index, `b` = component size.
-    CycleMerged,
     /// A sampled rule firing. `a` = goal index being processed, `b` =
     /// watcher kind index, `work` = sampling stride (each recorded firing
     /// stands for `work` real ones).
@@ -77,13 +74,12 @@ pub enum FlightEventKind {
 
 impl FlightEventKind {
     /// Schema names, indexed by discriminant.
-    pub const KIND_NAMES: [&'static str; 10] = [
+    pub const KIND_NAMES: [&'static str; 9] = [
         "activated",
         "blocked",
         "resumed",
         "completed",
         "memo_hit",
-        "cycle_merged",
         "fire",
         "parked",
         "stolen",
@@ -102,11 +98,10 @@ impl FlightEventKind {
             2 => Some(FlightEventKind::Resumed),
             3 => Some(FlightEventKind::Completed),
             4 => Some(FlightEventKind::MemoHit),
-            5 => Some(FlightEventKind::CycleMerged),
-            6 => Some(FlightEventKind::Fire),
-            7 => Some(FlightEventKind::Parked),
-            8 => Some(FlightEventKind::Stolen),
-            9 => Some(FlightEventKind::Woken),
+            5 => Some(FlightEventKind::Fire),
+            6 => Some(FlightEventKind::Parked),
+            7 => Some(FlightEventKind::Stolen),
+            8 => Some(FlightEventKind::Woken),
             _ => None,
         }
     }
@@ -408,13 +403,13 @@ mod tests {
     #[test]
     fn event_payload_round_trips() {
         let r = tiny(8, 1);
-        r.record(FlightEventKind::CycleMerged, 7, 3, 41);
+        r.record(FlightEventKind::Completed, 7, 3, 41);
         let e = r.snapshot().events[0];
-        assert_eq!(e.kind, FlightEventKind::CycleMerged);
+        assert_eq!(e.kind, FlightEventKind::Completed);
         assert_eq!(e.a, 7);
         assert_eq!(e.b, 3);
         assert_eq!(e.work, 41);
-        assert_eq!(e.kind.as_str(), "cycle_merged");
+        assert_eq!(e.kind.as_str(), "completed");
     }
 
     #[test]

@@ -104,7 +104,6 @@ fn main() {
     run("t7", &mut || t7());
     run("t8", &mut || t8(&quick));
     run("t9", &mut || t9());
-    run("t10", &mut || t10(full));
     run("t11", &mut || t11(full));
     run("f1", &mut || f1(&quick));
     run("f2", &mut || f2(&quick));
@@ -631,103 +630,6 @@ fn t9() -> JsonValue {
                 "time (off)",
                 "time (on)",
                 "overhead",
-                "answers"
-            ],
-            &rows
-        )
-    );
-    med
-}
-
-fn t10(full: bool) -> JsonValue {
-    // At least two workers even on a single-core host: the scheduler
-    // path is only taken at workers > 1. The sequential baseline runs the
-    // same engine at one worker, so the speedup column isolates the
-    // worker count.
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .max(2);
-    println!(
-        "## T10 — Intra-query parallel scheduler at max threads ({workers} workers), next to the T9 W/S bound\n"
-    );
-    // The wide suite is the headroom-rich regime (T9's W/S ≫ 1); the
-    // cyclic rows pin down that speedup tracks headroom, not threads.
-    let data = if full {
-        run_t10(&[1_500, 4_000, 12_000], &[6, 8], workers, 5)
-    } else {
-        run_t10(&[1_500, 4_000], &[6], workers, 5)
-    };
-    let rich: Vec<&T10Row> = data.iter().filter(|r| r.headroom > 1.5).collect();
-    let med = obj(vec![
-        ("workers", JsonValue::U64(workers as u64)),
-        (
-            "headroom",
-            JsonValue::F64(median(data.iter().map(|r| r.headroom).collect())),
-        ),
-        (
-            "speedup",
-            JsonValue::F64(median(data.iter().map(|r| r.speedup()).collect())),
-        ),
-        (
-            "rich_headroom_speedup",
-            JsonValue::F64(median(rich.iter().map(|r| r.speedup()).collect())),
-        ),
-        (
-            "work_ratio",
-            JsonValue::F64(median(data.iter().map(|r| r.work_ratio()).collect())),
-        ),
-        (
-            "steals",
-            JsonValue::F64(median(data.iter().map(|r| r.steals as f64).collect())),
-        ),
-        (
-            "identical",
-            JsonValue::Bool(data.iter().all(|r| r.identical)),
-        ),
-    ]);
-    let rows: Vec<Vec<String>> = data
-        .into_iter()
-        .map(|r| {
-            vec![
-                r.name.clone(),
-                format!("pts({})", r.query),
-                r.workers.to_string(),
-                ratio(r.headroom),
-                dur(r.time_seq),
-                dur(r.time_par),
-                ratio(r.speedup()),
-                count(r.work_seq as usize),
-                count(r.work_par as usize),
-                format!("{:.3}x", r.work_ratio()),
-                count(r.steals as usize),
-                count(r.parked as usize),
-                count(r.wakeups as usize),
-                if r.identical {
-                    "identical ✓".into()
-                } else {
-                    "DIFFERS ✗".into()
-                },
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        table(
-            &[
-                "program",
-                "query",
-                "workers",
-                "W/S bound",
-                "sequential",
-                "parallel",
-                "speedup",
-                "work seq",
-                "work par",
-                "work ratio",
-                "steals",
-                "parked",
-                "wakeups",
                 "answers"
             ],
             &rows

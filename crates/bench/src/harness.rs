@@ -945,135 +945,6 @@ pub fn run_t9(scales: &[usize], repeats: usize) -> Vec<T9Row> {
 }
 
 // ---------------------------------------------------------------------
-// T10: intra-query parallel scheduler speedup vs T9 headroom
-// ---------------------------------------------------------------------
-
-/// One row of the single-query parallel-scheduler table.
-#[derive(Clone, Debug)]
-pub struct T10Row {
-    /// Workload name (`wide-<chains>` / `cyc-<scale>`).
-    pub name: String,
-    /// Display name of the one queried variable.
-    pub query: String,
-    /// Worker threads used by the parallel run.
-    pub workers: usize,
-    /// The query's own `W/S` headroom bound (sequential goal graph).
-    pub headroom: f64,
-    /// Sequential wall time (best of the repeats).
-    pub time_seq: Duration,
-    /// Parallel wall time at `workers` threads (best of the repeats).
-    pub time_par: Duration,
-    /// Sequential work — the fire multiset the scheduler replays.
-    pub work_seq: u64,
-    /// Total work summed over all workers.
-    pub work_par: u64,
-    /// Frames taken from another worker's deque.
-    pub steals: u64,
-    /// Steps that parked an incomplete frame.
-    pub parked: u64,
-    /// Reschedules of previously stepped frames.
-    pub wakeups: u64,
-    /// Parallel answer bit-identical to the sequential one.
-    pub identical: bool,
-}
-
-impl T10Row {
-    /// Measured wall-clock speedup of the parallel run.
-    pub fn speedup(&self) -> f64 {
-        self.time_seq.as_secs_f64() / self.time_par.as_secs_f64().max(1e-9)
-    }
-
-    /// Total-work inflation of the parallel run (1.0 = the exact same
-    /// fire multiset; the acceptance bound is ≤ 1.1).
-    pub fn work_ratio(&self) -> f64 {
-        self.work_par as f64 / (self.work_seq as f64).max(1e-9)
-    }
-}
-
-/// Regenerates table T10: what the frame scheduler actually extracts
-/// from the headroom T9 bounds.
-///
-/// Each workload is answered as ONE query — `pts(hub)` on the wide
-/// suite, the first ring variable on the cyclic suite — sequentially and
-/// then on the work-stealing scheduler at `workers` threads, best wall
-/// time of `repeats` fresh-engine runs each. The wide rows are the
-/// headroom-rich regime (independent chains, `W/S ≈ chains`); the cyclic
-/// rows are the antithesis (one strongly-connected ring per query,
-/// `W/S ≈ 1`) and pin down that speedup tracks headroom rather than
-/// thread count. The two runs differ only in worker count, so on a
-/// fresh table they replay the same fire multiset, which `work_ratio`
-/// makes visible.
-pub fn run_t10(
-    wide_sizes: &[usize],
-    cyc_scales: &[usize],
-    workers: usize,
-    repeats: usize,
-) -> Vec<T10Row> {
-    assert!(repeats > 0, "need at least one timed run");
-    let workers = workers.max(2);
-    let named = |cp: &ConstraintProgram, name: &str| {
-        cp.node_ids()
-            .find(|&n| cp.display_node(n) == name)
-            .unwrap_or_else(|| panic!("workload lacks node {name}"))
-    };
-    let workloads: Vec<(String, ConstraintProgram, String)> = wide_sizes
-        .iter()
-        .map(|&size| {
-            let config = ddpa_gen::WideConfig::sized(97, size);
-            let cp = ddpa_gen::generate_wide(&config);
-            (format!("wide-{}", config.chains), cp, "hub".to_owned())
-        })
-        .chain(cyc_scales.iter().map(|&scale| {
-            let cp = ddpa_gen::generate_cyclic(&ddpa_gen::CyclicConfig::sized(42, scale));
-            let query = cp
-                .node_ids()
-                .map(|n| cp.display_node(n))
-                .find(|name| !name.contains("obj"))
-                .expect("cyclic workload has ring variables");
-            (format!("cyc-{scale}"), cp, query)
-        }))
-        .collect();
-    workloads
-        .into_iter()
-        .map(|(name, cp, query)| {
-            let q = named(&cp, &query);
-            let best_of = |config: &DemandConfig| {
-                let mut best = Duration::MAX;
-                let mut kept = None;
-                for _ in 0..repeats {
-                    let mut engine = DemandEngine::new(&cp, config.clone());
-                    let start = Instant::now();
-                    let result = engine.points_to(q);
-                    best = best.min(start.elapsed());
-                    kept = Some((result, engine));
-                }
-                let (result, engine) = kept.expect("at least one run");
-                (result, best, engine)
-            };
-            let (seq, time_seq, seq_engine) = best_of(&DemandConfig::default());
-            let headroom = seq_engine.critical_path().headroom;
-            let (par, time_par, par_engine) =
-                best_of(&DemandConfig::default().with_workers(workers));
-            let stats = par_engine.stats();
-            T10Row {
-                name,
-                query,
-                workers,
-                headroom,
-                time_seq,
-                time_par,
-                work_seq: seq.work,
-                work_par: par.work,
-                steals: stats.sched_steals,
-                parked: stats.sched_parked,
-                wakeups: stats.sched_wakeups,
-                identical: par.pts == seq.pts && par.complete == seq.complete,
-            }
-        })
-        .collect()
-}
-
-// ---------------------------------------------------------------------
 // T11: edit-heavy sessions — selective invalidation vs full reload
 // ---------------------------------------------------------------------
 
@@ -1342,30 +1213,6 @@ mod tests {
             assert!((r.headroom - r.work as f64 / r.span as f64).abs() < 1e-9);
             assert!(r.goals > 0, "live goals in the graph: {r:?}");
             assert!(r.flight_recorded > 0, "recorder captured events: {r:?}");
-        }
-    }
-
-    #[test]
-    fn t10_scheduler_is_exact_and_work_stays_bounded() {
-        let rows = run_t10(&[600], &[4], 4, 1);
-        assert_eq!(rows.len(), 2);
-        let wide = &rows[0];
-        assert!(wide.name.starts_with("wide-"), "{wide:?}");
-        assert_eq!(wide.query, "hub");
-        assert!(wide.identical, "answers must be bit-identical: {wide:?}");
-        assert!(
-            wide.headroom > 1.5,
-            "wide workloads are the headroom-rich regime: {wide:?}"
-        );
-        let cyc = &rows[1];
-        assert!(cyc.identical, "answers must be bit-identical: {cyc:?}");
-        for r in &rows {
-            assert_eq!(r.workers, 4);
-            assert!(r.speedup() > 0.0);
-            assert_eq!(
-                r.work_par, r.work_seq,
-                "the fire multiset is replayed exactly: {r:?}"
-            );
         }
     }
 

@@ -15,7 +15,7 @@
 //! ddpa gen       [--size N] [--seed S] [--minic]   emit a generated workload
 //! ddpa snapshot  <file> [names…] --out <path>      warm the memo table, write a snapshot
 //! ddpa restore   <file> <snap> [names…]            warm-start from a snapshot
-//! ddpa serve     --addr HOST:PORT [--threads N]    persistent demand-query server
+//! ddpa serve     --addr HOST:PORT [--workers N]    persistent demand-query server
 //! ddpa client    --addr HOST:PORT <op> [args…]     talk to a running server
 //! ddpa top       <session> --addr HOST:PORT        live engine view (hottest goals,
 //!                                                  critical path, hit rates)
@@ -36,7 +36,7 @@ use std::fmt;
 use std::io::Write;
 
 use ddpa::constraints::{ConstraintProgram, NodeId};
-use ddpa::demand::{DemandConfig, DemandEngine, SchedPolicy};
+use ddpa::demand::{DemandConfig, DemandEngine};
 use ddpa::obs::{JsonValue, JsonlSink, Obs};
 use ddpa::support::stats::fmt_count;
 
@@ -72,7 +72,6 @@ commands:
   solve     <file> [names...]           exhaustive points-to sets
   query     <file> <names...>           demand points-to queries
             [--budget N] [--no-cache] [--ptb]
-            [--workers N] [--sched-policy dfs|bfs]  intra-query parallelism
   explain   <file> <node> <target>      derivation of target ∈ pts(node)
   cs        <file> <names...> [--k N]   context-sensitive points-to (default k=1)
   callgraph <file> [--budget N]         resolve all call sites on demand
@@ -88,17 +87,16 @@ commands:
   restore   <file> <snap> [names...]    warm-start from a snapshot and
             answer queries with zero deduction work
   serve     --addr HOST:PORT            persistent demand-query server
-            [--threads N] [--budget N] [--timeout-ms T]
-            [--workers N] [--sched-policy dfs|bfs]  intra-query parallelism
+            [--workers N] [--budget N] [--timeout-ms T]
             [--port-file <path>] [--stdin-shutdown] [--metrics-out <path>]
             [--access-log <path>] [--slow-ms N]
             [--snapshot-dir <dir>] [--snapshot-every-ms N] [--restore]
   client    --addr HOST:PORT <op>       one request against a running server:
             ping | stats | shutdown | close <session>
-            open <session> <file> [--budget N] [--parallel-query]
+            open <session> <file> [--budget N]
             add <session> <file>
             query <session> <names...> [--ptb] [--parallel] [--trace]
-                  [--budget N] [--timeout-ms T] [--parallel-query]
+                  [--budget N] [--timeout-ms T]
             alias <session> <a> <b> [--trace]
             targets <session> <site> [--trace]
             snapshot <session> [--out <server-side path>]
@@ -138,10 +136,7 @@ struct Options {
     metrics_out: Option<String>,
     json: Option<String>,
     addr: Option<String>,
-    threads: Option<usize>,
     workers: Option<usize>,
-    sched_policy: Option<SchedPolicy>,
-    parallel_query: bool,
     wide: bool,
     timeout_ms: Option<u64>,
     parallel: bool,
@@ -206,21 +201,10 @@ fn parse_options(args: &[String]) -> Result<Options, CliError> {
                 let v = iter.next().ok_or_else(|| err("--addr needs host:port"))?;
                 opts.addr = Some(v.clone());
             }
-            "--threads" => {
-                let v = iter.next().ok_or_else(|| err("--threads needs a value"))?;
-                opts.threads = Some(v.parse().map_err(|_| err(format!("bad threads `{v}`")))?);
-            }
             "--workers" => {
                 let v = iter.next().ok_or_else(|| err("--workers needs a value"))?;
                 opts.workers = Some(v.parse().map_err(|_| err(format!("bad workers `{v}`")))?);
             }
-            "--sched-policy" => {
-                let v = iter
-                    .next()
-                    .ok_or_else(|| err("--sched-policy needs dfs or bfs"))?;
-                opts.sched_policy = Some(v.parse().map_err(|e: String| err(e))?);
-            }
-            "--parallel-query" => opts.parallel_query = true,
             "--wide" => opts.wide = true,
             "--timeout-ms" => {
                 let v = iter
@@ -379,8 +363,6 @@ pub fn run(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
             let mut config = DemandConfig {
                 budget: opts.budget,
                 caching: !opts.no_cache,
-                workers: opts.workers.unwrap_or(1).max(1),
-                sched_policy: opts.sched_policy.unwrap_or_default(),
                 ..DemandConfig::default()
             };
             if opts.no_cache {
@@ -699,14 +681,8 @@ pub fn run(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
         "serve" => {
             let addr = opts.addr.as_deref().unwrap_or("127.0.0.1:7077");
             let mut config = ddpa::serve::ServeConfig::default();
-            if let Some(t) = opts.threads {
-                config.threads = t.max(1);
-            }
             if let Some(w) = opts.workers {
                 config.workers = w.max(1);
-            }
-            if let Some(p) = opts.sched_policy {
-                config.sched_policy = p;
             }
             config.default_budget = opts.budget;
             if let Some(t) = opts.timeout_ms {
@@ -997,17 +973,9 @@ fn render_top(
             Some(JsonValue::U64(n)) => *n as f64,
             _ => 1.0,
         };
-        // The configured scheduler next to the headroom bound it could
-        // exploit: workers beyond W/S cannot help this workload.
-        let workers = num(stats.get("workers")).max(1);
-        let policy = stats
-            .get("sched_policy")
-            .and_then(JsonValue::as_str)
-            .unwrap_or("dfs");
         writeln!(
             out,
-            "critical path: work {}  span {}  parallelism headroom {headroom:.2}x  \
-             [{workers} worker(s), {policy} policy]",
+            "critical path: work {}  span {}  parallelism headroom {headroom:.2}x",
             fmt_count(num(cp.get("work"))),
             fmt_count(num(cp.get("span"))),
         )?;
@@ -1057,11 +1025,6 @@ fn client_request(opts: &Options) -> Result<JsonValue, CliError> {
         Ok((text, minic))
     };
     let traced = |request: JsonValue| {
-        let request = if opts.parallel_query {
-            build::with_parallel_query(request)
-        } else {
-            request
-        };
         if opts.trace {
             build::with_trace(request)
         } else {
@@ -1085,12 +1048,7 @@ fn client_request(opts: &Options) -> Result<JsonValue, CliError> {
         "close" => Ok(build::close(session(1)?)),
         "open" => {
             let (text, minic) = file_text(2)?;
-            let request = build::open(session(1)?, &text, minic, opts.budget);
-            Ok(if opts.parallel_query {
-                build::with_parallel_query(request)
-            } else {
-                request
-            })
+            Ok(build::open(session(1)?, &text, minic, opts.budget))
         }
         "add" => {
             let (text, _) = file_text(2)?;
@@ -1350,20 +1308,18 @@ mod tests {
     }
 
     #[test]
-    fn wide_gen_and_parallel_query_flags() {
+    fn wide_gen_emits_a_queryable_hub() {
         let wide = run_to_string(&["gen", "--wide", "--size", "400", "--seed", "5"]).expect("gen");
         assert!(wide.contains("hub = "), "hub joins the chains: {wide}");
         let cp = ddpa::constraints::parse_constraints(&wide).expect("reparses");
         assert!(cp.num_constraints() > 200);
-        let path = write_temp("t12.cons", &wide);
+        let path = write_temp("wide.cons", &wide);
         let p = path.to_str().expect("utf8 path");
-        let seq = run_to_string(&["query", p, "hub"]).expect("sequential");
-        let par = run_to_string(&["query", p, "hub", "--workers", "4"]).expect("parallel");
-        assert_eq!(seq, par, "scheduler answers are bit-identical");
-        let bfs = run_to_string(&["query", p, "hub", "--workers", "4", "--sched-policy", "bfs"])
-            .expect("bfs");
-        assert_eq!(seq, bfs);
-        assert!(run_to_string(&["query", p, "hub", "--sched-policy", "lifo"]).is_err());
+        let out = run_to_string(&["query", p, "hub"]).expect("query");
+        assert!(out.starts_with("pts(hub) = {"), "{out}");
+        assert!(!out.contains("UNRESOLVED"), "{out}");
+        // The scheduler flags are gone: unknown options are rejected.
+        assert!(run_to_string(&["query", p, "hub", "--sched-policy", "bfs"]).is_err());
     }
 
     #[test]

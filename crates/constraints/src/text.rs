@@ -172,6 +172,12 @@ fn resolve_name(
     if name == "_" {
         return Ok(None);
     }
+    if let Some(bad) = name.chars().find(|&c| !is_name_char(c)) {
+        return Err(TextError {
+            message: format!("invalid character `{bad}` in name `{name}`"),
+            line,
+        });
+    }
     if let Some((func_name, member)) = name.rsplit_once("::") {
         if let Some(func) = builder.lookup_func(func_name) {
             let info = builder.func_info(func);
@@ -210,6 +216,16 @@ fn resolve_name(
         }
     }
     Ok(Some(builder.var(name)))
+}
+
+/// Whether `c` may appear in a node name: the characters
+/// [`ConstraintProgram::display_node`] emits — letters, digits, `_`, `%`
+/// (temporaries), `@` (heap and function objects, cloned contexts), `:`
+/// (qualified names), `.` (fields, shadowed locals) and `[]` (array
+/// storage). Anything else is a typo such as a trailing `;` or a stray
+/// `*`, which would otherwise mint a new node silently.
+fn is_name_char(c: char) -> bool {
+    c.is_alphanumeric() || matches!(c, '_' | '%' | '@' | ':' | '.' | '[' | ']')
 }
 
 fn require(builder: &mut ConstraintBuilder, name: &str, line: usize) -> Result<NodeId, TextError> {
@@ -490,6 +506,19 @@ mod tests {
         assert!(parse_constraints("fun broken\n").is_err());
         assert!(parse_constraints("call f(x\n").is_err());
         assert!(parse_constraints("x = _\n").is_err());
+    }
+
+    #[test]
+    fn rejects_names_with_stray_punctuation() {
+        let err = parse_constraints("q = p\np = &o;\n").expect_err("trailing `;`");
+        assert_eq!(err.line, 2);
+        assert!(err.message.contains("`;`"), "{err}");
+        let err = parse_constraints("*p = *q\n").expect_err("store from a load");
+        assert_eq!(err.line, 1);
+        assert!(err.message.contains("`*q`"), "{err}");
+        // Every character the printer emits is still accepted.
+        let cp = parse_constraints("%t0 = &@heap1\nmain::a[] = main::p.2\n").expect("parses");
+        assert_eq!(cp.num_constraints(), 2);
     }
 
     #[test]

@@ -1,45 +1,5 @@
 //! Demand-engine configuration.
 
-/// Order in which a scheduler worker drains its own deque
-/// (see [`crate::sched`]).
-///
-/// Depth-first (the default) pops the most recently scheduled frame —
-/// the sequential engine's natural order, which keeps a worker inside
-/// one deduction subtree and its caches hot. Breadth-first pops the
-/// oldest frame, fanning out across the goal graph sooner. Answers are
-/// bit-identical under either policy (and any worker count); only the
-/// discovery order — and thus steal/park behavior — changes.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum SchedPolicy {
-    /// Pop newest first (LIFO own-deque order).
-    #[default]
-    Dfs,
-    /// Pop oldest first (FIFO own-deque order).
-    Bfs,
-}
-
-impl SchedPolicy {
-    /// The CLI / config-file spelling.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            SchedPolicy::Dfs => "dfs",
-            SchedPolicy::Bfs => "bfs",
-        }
-    }
-}
-
-impl std::str::FromStr for SchedPolicy {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "dfs" => Ok(SchedPolicy::Dfs),
-            "bfs" => Ok(SchedPolicy::Bfs),
-            other => Err(format!("unknown scheduler policy '{other}' (want dfs|bfs)")),
-        }
-    }
-}
-
 /// Configuration for a [`crate::DemandEngine`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DemandConfig {
@@ -67,14 +27,6 @@ pub struct DemandConfig {
     /// Flight-recorder fire-sampling stride: every `N`-th rule firing is
     /// recorded (structural events are always recorded; clamped to ≥ 1).
     pub flight_sample: u32,
-    /// Worker threads for a single query. `1` (the default) runs the
-    /// classic sequential drain; `> 1` dispatches eligible queries to the
-    /// frame scheduler ([`crate::sched`]) with this many workers. Queries
-    /// with a budget or with tracing on always run sequentially.
-    pub workers: usize,
-    /// Own-deque drain order for scheduler workers (ignored when
-    /// `workers == 1`).
-    pub sched_policy: SchedPolicy,
 }
 
 impl Default for DemandConfig {
@@ -86,8 +38,6 @@ impl Default for DemandConfig {
             flight: true,
             flight_capacity: 8192,
             flight_sample: 64,
-            workers: 1,
-            sched_policy: SchedPolicy::default(),
         }
     }
 }
@@ -130,18 +80,6 @@ impl DemandConfig {
         self.flight_sample = sample;
         self
     }
-
-    /// Sets the per-query worker count (clamped to ≥ 1).
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
-        self
-    }
-
-    /// Sets the scheduler's own-deque drain order.
-    pub fn with_sched_policy(mut self, policy: SchedPolicy) -> Self {
-        self.sched_policy = policy;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -156,22 +94,6 @@ mod tests {
         let d = DemandConfig::default();
         assert_eq!(d.budget, None);
         assert!(d.caching);
-    }
-
-    #[test]
-    fn sched_builders() {
-        let d = DemandConfig::default();
-        assert_eq!(d.workers, 1, "sequential by default");
-        assert_eq!(d.sched_policy, SchedPolicy::Dfs);
-        let c = DemandConfig::new()
-            .with_workers(0)
-            .with_sched_policy(SchedPolicy::Bfs);
-        assert_eq!(c.workers, 1, "workers clamp to 1");
-        assert_eq!(c.sched_policy, SchedPolicy::Bfs);
-        assert_eq!("dfs".parse::<SchedPolicy>().unwrap(), SchedPolicy::Dfs);
-        assert_eq!("bfs".parse::<SchedPolicy>().unwrap(), SchedPolicy::Bfs);
-        assert!("steepest".parse::<SchedPolicy>().is_err());
-        assert_eq!(SchedPolicy::Bfs.as_str(), "bfs");
     }
 
     #[test]

@@ -59,8 +59,6 @@ use crate::budget::Budget;
 use crate::config::DemandConfig;
 use crate::goal::{Goal, GoalState, Watcher};
 use crate::query::{AliasResult, CallTargets, QueryResult};
-use crate::rules::Deduce;
-use crate::sched::{EngineView, Scheduler};
 use crate::share::{CompletedGoal, SharedMemo};
 use crate::stats::EngineStats;
 use crate::trace::{Explanation, Origin, TraceStep};
@@ -115,10 +113,6 @@ pub struct DemandEngine<'p> {
     /// top-k "hottest goals" view and the critical-path analyzer
     /// ([`crate::inspect`]).
     pub(crate) costs: Vec<GoalCost>,
-    /// Whether the most recent query dispatched to the frame scheduler.
-    /// Hosts that request parallel execution read this to report a
-    /// sequential fallback honestly instead of implying parallelism.
-    last_parallel: bool,
 }
 
 /// What an incremental edit ([`DemandEngine::reload_incremental`]) did
@@ -160,10 +154,6 @@ struct EngineCounters {
     share_publishes: Counter,
     share_evictions: Counter,
     flight_events: Counter,
-    sched_parked: Counter,
-    sched_resumed: Counter,
-    sched_steals: Counter,
-    sched_wakeups: Counter,
     /// Per-[`Watcher`] variant fire counts, indexed by
     /// [`Watcher::kind_index`].
     fires_by_kind: [Counter; 12],
@@ -183,10 +173,6 @@ impl EngineCounters {
             share_publishes: obs.counter("demand.share.publishes"),
             share_evictions: obs.counter("demand.share.evictions"),
             flight_events: obs.counter("demand.flight.events"),
-            sched_parked: obs.counter("demand.sched.parked"),
-            sched_resumed: obs.counter("demand.sched.resumed"),
-            sched_steals: obs.counter("demand.sched.steals"),
-            sched_wakeups: obs.counter("demand.sched.wakeups"),
             fires_by_kind: std::array::from_fn(|i| {
                 obs.counter(&format!("demand.fires.{}", Watcher::KIND_NAMES[i]))
             }),
@@ -226,16 +212,7 @@ impl<'p> DemandEngine<'p> {
             published: HashSet::new(),
             flight,
             costs: Vec::new(),
-            last_parallel: false,
         }
-    }
-
-    /// Whether the most recent query ran on the frame scheduler
-    /// ([`crate::sched`]) rather than the sequential drain. False for
-    /// cache hits and for queries the engine pinned to the sequential
-    /// path (budgeted, traced, or resuming suspended work).
-    pub fn last_query_parallel(&self) -> bool {
-        self.last_parallel
     }
 
     /// The deduction flight recorder, when enabled
@@ -305,16 +282,10 @@ impl<'p> DemandEngine<'p> {
         self.config.budget = budget;
     }
 
-    /// Adjusts only the per-query worker count (clamped to ≥ 1). Used by
-    /// hosts that toggle intra-query parallelism per request.
-    pub fn set_workers(&mut self, workers: usize) {
-        self.config.workers = workers.max(1);
-    }
-
-    /// Adjusts the scheduler policy used by parallel queries.
-    pub fn set_sched_policy(&mut self, policy: crate::config::SchedPolicy) {
-        self.config.sched_policy = policy;
-    }
+    /// Does nothing: every query runs on the one sequential drain. Kept
+    /// only for the end-to-end benchmark (`e2e-bench`), which still
+    /// calls it, until that benchmark next changes.
+    pub fn set_workers(&mut self, _workers: usize) {}
 
     /// A snapshot of the cumulative statistics across all queries so far.
     ///
@@ -333,10 +304,6 @@ impl<'p> DemandEngine<'p> {
             share_publishes: self.counters.share_publishes.get(),
             share_evictions: self.counters.share_evictions.get(),
             flight_events: self.counters.flight_events.get(),
-            sched_parked: self.counters.sched_parked.get(),
-            sched_resumed: self.counters.sched_resumed.get(),
-            sched_steals: self.counters.sched_steals.get(),
-            sched_wakeups: self.counters.sched_wakeups.get(),
             ..EngineStats::default()
         }
     }
@@ -781,9 +748,9 @@ impl<'p> DemandEngine<'p> {
     }
 
     /// Adds `value` to `goal`'s set, recording its derivation when
-    /// tracing is enabled. (The [`Deduce`] impl routes rule-produced
-    /// facts here.)
-    fn add_fact(&mut self, goal: Goal, value: u32, origin: Origin) {
+    /// tracing is enabled. The rules ([`crate::rules`]) add every
+    /// derived fact through here.
+    pub(crate) fn add_fact(&mut self, goal: Goal, value: u32, origin: Origin) {
         let gi = self.activate(goal);
         let state = &mut self.goals[gi as usize];
         let inserted = state.add(value);
@@ -801,7 +768,7 @@ impl<'p> DemandEngine<'p> {
 
     /// Installs `watcher` on `goal` (idempotent), starting from the first
     /// element. A self copy (`x = x`) is the identity and is suppressed.
-    fn subscribe_watcher(&mut self, goal: Goal, watcher: Watcher) {
+    pub(crate) fn subscribe_watcher(&mut self, goal: Goal, watcher: Watcher) {
         let gi = self.activate(goal);
         // The consumer's fixpoint reads the producer's set: record the
         // dependency edge so an edit dirtying the producer transitively
@@ -924,30 +891,10 @@ impl<'p> DemandEngine<'p> {
 
     fn run(&mut self, goal: Goal) -> QueryResult {
         let _span = self.obs.span("demand.query");
-        self.last_parallel = false;
         if !self.config.caching {
             self.clear();
         }
         self.counters.queries.inc();
-        // Parallel dispatch, decided *before* activation touches the
-        // queue: eligible queries are unbudgeted (frames cannot abort
-        // mid-step deterministically), untraced (no cross-thread
-        // provenance map), and start from a drained queue (no suspended
-        // sequential work to interleave with). Already-answered goals
-        // fall through to the sequential cache-hit path.
-        if self.config.workers > 1
-            && self.config.budget.is_none()
-            && !self.config.trace
-            && self.queue.is_empty()
-        {
-            let cached = self
-                .index
-                .get(&goal)
-                .is_some_and(|&gi| self.goals[gi as usize].complete);
-            if !cached {
-                return self.run_parallel(goal);
-            }
-        }
         let gi = self.activate(goal);
         if self.goals[gi as usize].complete {
             self.counters.cache_hits.inc();
@@ -974,117 +921,12 @@ impl<'p> DemandEngine<'p> {
         }
     }
 
-    /// Answers `goal` with the frame scheduler ([`crate::sched`]) on
-    /// [`DemandConfig::workers`] threads, seeding frames from this
-    /// engine's completed goals, then folds the scheduler's counters and
-    /// newly completed fixpoints back into the engine (and the attached
-    /// [`SharedMemo`], when caching). Answers are bit-identical to the
-    /// sequential drain — see the module docs of [`crate::sched`].
-    fn run_parallel(&mut self, goal: Goal) -> QueryResult {
-        let _span = self.obs.span("demand.query.parallel");
-        self.last_parallel = true;
-        let mut sched = Scheduler::new(self.cp, self.config.clone()).with_obs(self.obs.clone());
-        if let Some(flight) = &self.flight {
-            sched = sched.with_flight(Arc::clone(flight));
-        }
-        if self.config.caching {
-            if let Some(shared) = &self.shared {
-                sched = sched.with_shared(Arc::clone(shared), self.shared_gen);
-            }
-        }
-        let outcome = {
-            let view = EngineView {
-                goals: &self.goals,
-                index: &self.index,
-            };
-            sched.solve_seeded(goal, Some(&view))
-        };
-        let stats = &outcome.stats;
-        self.counters.work.add(stats.work);
-        self.counters.fires.add(stats.fires);
-        for (i, &n) in stats.fires_by_kind.iter().enumerate() {
-            if n > 0 {
-                self.counters.fires_by_kind[i].add(n);
-            }
-        }
-        self.counters.share_hits.add(stats.share_hits);
-        self.counters.share_misses.add(stats.share_misses);
-        self.counters.share_evictions.add(stats.share_evictions);
-        self.counters.sched_parked.add(stats.parked);
-        self.counters.sched_resumed.add(stats.resumed);
-        self.counters.sched_steals.add(stats.steals);
-        self.counters.sched_wakeups.add(stats.wakeups);
-        self.counters.flight_events.add(stats.flight_events);
-        let work = stats.work;
-        if self.config.caching {
-            if let Some(shared) = &self.shared {
-                let shared = Arc::clone(shared);
-                for (g, entry) in &outcome.completed {
-                    if self.published.contains(g) {
-                        continue;
-                    }
-                    let (published, evicted) = shared.publish(self.shared_gen, *g, entry.clone());
-                    if evicted > 0 {
-                        self.counters.share_evictions.add(evicted);
-                    }
-                    if published {
-                        self.counters.share_publishes.inc();
-                    }
-                }
-            }
-            // Table the fixpoints locally so later queries (parallel or
-            // sequential) answer from the memo. Goals the engine already
-            // tables (e.g. incomplete from an old budgeted query) are
-            // left untouched.
-            for (g, entry) in &outcome.completed {
-                self.install_completed(*g, entry);
-            }
-        } else {
-            self.counters.goals_activated.add(stats.activated);
-        }
-        self.counters.complete_queries.inc();
-        QueryResult {
-            pts: outcome.pts,
-            complete: true,
-            work,
-        }
-    }
-
     fn snapshot(&self, gi: u32) -> Vec<NodeId> {
         self.goals[gi as usize]
             .members
             .iter()
             .map(NodeId::from_u32)
             .collect()
-    }
-}
-
-/// The sequential engine evaluates the shared rule system
-/// ([`crate::rules`]) against its tabled goal states; the scheduler's
-/// workers ([`crate::sched`]) implement the same trait against frames.
-impl<'p> Deduce<'p> for DemandEngine<'p> {
-    fn cp(&self) -> &'p ConstraintProgram {
-        self.cp
-    }
-
-    fn add(&mut self, goal: Goal, value: u32, origin: Origin) {
-        self.add_fact(goal, value, origin);
-    }
-
-    fn subscribe(&mut self, goal: Goal, watcher: Watcher) {
-        self.subscribe_watcher(goal, watcher);
-    }
-
-    fn note_support(&mut self, goal: Goal, node: NodeId) {
-        if let Some(&gi) = self.index.get(&goal) {
-            self.goals[gi as usize].support.insert(node.as_u32());
-        }
-    }
-
-    fn note_indirect(&mut self, goal: Goal) {
-        if let Some(&gi) = self.index.get(&goal) {
-            self.goals[gi as usize].reads_indirect = true;
-        }
     }
 }
 

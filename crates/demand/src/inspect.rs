@@ -397,15 +397,7 @@ impl<'p> DemandEngine<'p> {
                     ("seq".to_owned(), JsonValue::U64(e.seq)),
                     ("event".to_owned(), JsonValue::str(e.kind.as_str())),
                 ];
-                // Scheduler events address frame *slots* (a stable
-                // program-node encoding), not this table's goal indices —
-                // report them raw instead of resolving to a wrong name.
-                match e.kind {
-                    K::Parked | K::Stolen | K::Woken => {
-                        fields.push(("slot".to_owned(), JsonValue::U64(e.a as u64)));
-                    }
-                    _ => fields.push(("goal".to_owned(), JsonValue::str(name_of(e.a)))),
-                }
+                fields.push(("goal".to_owned(), JsonValue::str(name_of(e.a))));
                 match e.kind {
                     K::Blocked => {
                         let consumer = if e.b == u32::MAX {
@@ -429,12 +421,6 @@ impl<'p> DemandEngine<'p> {
                     K::Completed => {
                         fields.push(("elems".to_owned(), JsonValue::U64(e.b as u64)));
                         fields.push(("work".to_owned(), JsonValue::U64(e.work as u64)));
-                    }
-                    K::Parked | K::Woken => {
-                        fields.push(("worker".to_owned(), JsonValue::U64(e.b as u64)));
-                    }
-                    K::Stolen => {
-                        fields.push(("thief".to_owned(), JsonValue::U64(e.b as u64)));
                     }
                     K::Activated | K::Resumed => {}
                 }

@@ -51,21 +51,19 @@ pub mod pool;
 pub mod qtrace;
 pub mod query;
 pub mod rules;
-pub mod sched;
 pub mod share;
 pub mod stats;
 pub mod trace;
 
 pub use budget::Budget;
-pub use config::{DemandConfig, SchedPolicy};
+pub use config::DemandConfig;
 pub use engine::{DemandEngine, EditStats};
 pub use inspect::{display_goal, CriticalPath, GoalGraph, GoalProfile};
 pub use ladder::BudgetLadder;
-pub use parallel::{points_to_on_pool, points_to_parallel};
-pub use pool::{StealQueue, ThreadPool};
+pub use parallel::{fan_out, points_to_on_pool, points_to_parallel};
+pub use pool::ThreadPool;
 pub use qtrace::{QueryTrace, TraceReport};
 pub use query::{AliasResult, CallTargets, QueryResult};
-pub use sched::{SchedStats, Scheduler, SolveOutcome};
 pub use share::{dirty_closure, CompletedGoal, SharedMemo};
 pub use stats::EngineStats;
 pub use trace::{Explanation, Origin, TraceStep};

@@ -17,10 +17,10 @@
 //! Workers run on a [`ThreadPool`]: [`points_to_parallel`] spins up a
 //! private pool per call (the historical behaviour), while long-lived
 //! hosts like `ddpa-serve` keep one pool alive and fan batches out through
-//! [`points_to_on_pool`].
+//! [`points_to_on_pool`] or, for mixed query kinds, [`fan_out`] itself.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use ddpa_constraints::{ConstraintProgram, NodeId};
 
@@ -57,10 +57,7 @@ pub fn points_to_parallel(
 ) -> Vec<QueryResult> {
     assert!(threads > 0, "need at least one worker thread");
     if threads == 1 || queries.len() <= 1 {
-        // One query with several threads: parallelize *inside* the query
-        // via the frame scheduler instead of across queries.
-        let workers = if queries.len() == 1 { threads } else { 1 };
-        let mut engine = DemandEngine::new(cp, config.clone().with_workers(workers));
+        let mut engine = DemandEngine::new(cp, config.clone());
         return queries.iter().map(|&q| engine.points_to(q)).collect();
     }
     let pool = ThreadPool::new(threads);
@@ -79,63 +76,65 @@ pub fn points_to_on_pool(
     pool: &ThreadPool,
     config: &DemandConfig,
 ) -> Vec<QueryResult> {
-    if queries.len() <= 1 || pool.threads() == 1 {
-        let workers = if queries.len() == 1 {
-            pool.threads()
-        } else {
-            1
-        };
-        let mut engine = DemandEngine::new(cp, config.clone().with_workers(workers));
-        return queries.iter().map(|&q| engine.points_to(q)).collect();
-    }
-    let shared = config.caching.then(|| Arc::new(SharedMemo::new()));
-
-    let mut results: Vec<Option<QueryResult>> = vec![None; queries.len()];
-    let next = AtomicUsize::new(0);
-
-    // Hand each worker a distinct &mut view of the result slots through a
-    // mutex-free claim protocol: a worker that claims index i via `next`
-    // is the only one to touch `slot_ptrs[i]`.
-    #[derive(Clone, Copy)]
-    struct SlotPtr(*mut Option<QueryResult>);
-    unsafe impl Send for SlotPtr {}
-    unsafe impl Sync for SlotPtr {}
-    let slots: Vec<SlotPtr> = results.iter_mut().map(|r| SlotPtr(r as *mut _)).collect();
-    let slots = &slots;
-    let next = &next;
-
-    let workers = pool.threads().min(queries.len());
-    pool.scoped((0..workers).map(|_| {
-        let config = config.clone();
-        let shared = shared.clone();
-        Box::new(move || {
-            // Worker engines stay sequential: nesting a frame scheduler
-            // inside each pool worker would oversubscribe the machine.
-            let mut engine = DemandEngine::new(cp, config.with_workers(1));
-            if let Some(shared) = shared {
-                engine = engine.with_shared_memo(shared);
+    let fanned = pool.threads() > 1 && queries.len() > 1;
+    let shared = (fanned && config.caching).then(|| Arc::new(SharedMemo::new()));
+    fan_out(
+        pool,
+        queries.len(),
+        || {
+            let engine = DemandEngine::new(cp, config.clone());
+            match &shared {
+                Some(shared) => engine.with_shared_memo(Arc::clone(shared)),
+                None => engine,
             }
+        },
+        |engine, i| engine.points_to(queries[i]),
+    )
+}
+
+/// Answers items `0..n` on `pool` and returns the answers in index order.
+///
+/// Each of `min(pool width, n)` workers builds its own state with `init`
+/// (typically a private engine) and claims the next unanswered index from
+/// a shared atomic counter, so heavy-tailed per-item costs balance
+/// dynamically. With one worker the items run in order on the calling
+/// thread. The call blocks until every item is answered.
+///
+/// # Panics
+///
+/// Re-raises the first panic of a worker job.
+pub fn fan_out<S, R: Send>(
+    pool: &ThreadPool,
+    n: usize,
+    init: impl Fn() -> S + Sync,
+    answer: impl Fn(&mut S, usize) -> R + Sync,
+) -> Vec<R> {
+    let workers = pool.threads().min(n);
+    if workers <= 1 {
+        let mut state = init();
+        return (0..n).map(|i| answer(&mut state, i)).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let done = Mutex::new(Vec::with_capacity(n));
+    let (init, answer, next, done) = (&init, &answer, &next, &done);
+    pool.scoped((0..workers).map(|_| {
+        Box::new(move || {
+            let mut state = init();
+            let mut mine = Vec::new();
             loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= queries.len() {
+                if i >= n {
                     break;
                 }
-                let answer = engine.points_to(queries[i]);
-                // SAFETY: index i was claimed exclusively by this worker
-                // via the atomic counter; each slot outlives the scoped
-                // batch and is written at most once.
-                let slot: SlotPtr = slots[i];
-                unsafe {
-                    *slot.0 = Some(answer);
-                }
+                mine.push((i, answer(&mut state, i)));
             }
+            done.lock().expect("fan-out results poisoned").extend(mine);
         }) as Box<dyn FnOnce() + Send + '_>
     }));
-
-    results
-        .into_iter()
-        .map(|r| r.expect("all slots filled"))
-        .collect()
+    let mut done = std::mem::take(&mut *done.lock().expect("fan-out results poisoned"));
+    done.sort_unstable_by_key(|&(i, _)| i);
+    debug_assert_eq!(done.len(), n, "every index answered once");
+    done.into_iter().map(|(_, r)| r).collect()
 }
 
 #[cfg(test)]
@@ -172,7 +171,7 @@ mod tests {
     }
 
     #[test]
-    fn single_query_uses_intra_query_parallelism() {
+    fn single_query_matches_sequential() {
         let cp = chain_program(64);
         let q = cp
             .node_ids()
@@ -251,6 +250,15 @@ mod tests {
             for (s, p) in sequential.iter().zip(&batch) {
                 assert_eq!(s.pts, p.pts);
             }
+        }
+    }
+
+    #[test]
+    fn fan_out_returns_answers_in_index_order() {
+        let pool = ThreadPool::new(3);
+        for n in [0, 1, 2, 50] {
+            let got = fan_out(&pool, n, || (), |_, i| i * 10);
+            assert_eq!(got, (0..n).map(|i| i * 10).collect::<Vec<_>>());
         }
     }
 }

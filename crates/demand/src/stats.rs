@@ -41,13 +41,16 @@ pub struct EngineStats {
     /// Events recorded into the deduction flight recorder
     /// (see [`crate::DemandEngine::flight_recorder`]).
     pub flight_events: u64,
-    /// Scheduler frames parked awaiting new facts (parallel queries).
+    /// Always 0. The demand engine no longer runs a frame scheduler;
+    /// this field and the next three stay only for the end-to-end
+    /// benchmark (`e2e-bench`), which still reads them, until that
+    /// benchmark next changes.
     pub sched_parked: u64,
-    /// Scheduler steps of a previously stepped frame (parallel queries).
+    /// Always 0; see [`EngineStats::sched_parked`].
     pub sched_resumed: u64,
-    /// Frames stolen between scheduler workers (parallel queries).
+    /// Always 0; see [`EngineStats::sched_parked`].
     pub sched_steals: u64,
-    /// Parked frames rescheduled by new facts/watchers (parallel queries).
+    /// Always 0; see [`EngineStats::sched_parked`].
     pub sched_wakeups: u64,
 }
 
@@ -83,10 +86,6 @@ impl EngineStats {
             share_publishes: self.share_publishes.saturating_sub(before.share_publishes),
             share_evictions: self.share_evictions.saturating_sub(before.share_evictions),
             flight_events: self.flight_events.saturating_sub(before.flight_events),
-            sched_parked: self.sched_parked.saturating_sub(before.sched_parked),
-            sched_resumed: self.sched_resumed.saturating_sub(before.sched_resumed),
-            sched_steals: self.sched_steals.saturating_sub(before.sched_steals),
-            sched_wakeups: self.sched_wakeups.saturating_sub(before.sched_wakeups),
             ..EngineStats::default()
         }
     }

@@ -15,7 +15,8 @@
 //!   function-pointer dispatch tables), exercised through the full
 //!   parse → check → lower pipeline;
 //! * [`wide`] — wide independent-chain programs maximizing single-query
-//!   parallel headroom (bench table T10);
+//!   `W/S` headroom (bench table T9, the end-to-end `wide-parallel`
+//!   workload);
 //! * [`mod@suite`] — the named benchmark suite used by every experiment.
 //!
 //! All generators take explicit seeds; the same seed reproduces the same

@@ -1,17 +1,17 @@
-//! Wide, embarrassingly-parallel constraint programs — the T10 workload.
+//! Wide, embarrassingly-parallel constraint programs.
 //!
 //! A single demand query is parallelizable only when its goal graph is
 //! *wide*: the critical-path profile's `W/S` headroom (total work over
-//! span) bounds the speedup any scheduler can extract. This generator
+//! span) bounds the speedup any scheduler could extract. This generator
 //! builds programs that maximize that headroom for one query: `chains`
 //! independent copy chains, each seeded at its base with `objs_per_chain`
 //! address-of constraints, plus one `hub` variable copying from every
 //! chain's top.
 //!
 //! Demanding `pts(hub)` activates all chains at once; the chains share no
-//! goals, so workers can deduce them concurrently while the sequential
-//! engine walks them one after another. Expected headroom ≈ `chains`
-//! (span = one chain, work = all of them).
+//! goals, so a parallel evaluator could deduce them concurrently while
+//! the sequential engine walks them one after another. Expected headroom
+//! ≈ `chains` (span = one chain, work = all of them).
 
 use ddpa_constraints::{ConstraintBuilder, ConstraintProgram};
 use ddpa_support::rng::Rng;
@@ -59,7 +59,7 @@ pub fn generate_wide(config: &WideConfig) -> ConstraintProgram {
     let hub = b.var("hub");
     let nominal = config.chain_len.max(2);
     for c in 0..config.chains.max(1) {
-        // Jitter the lengths so no two workers' chains finish in lockstep.
+        // Jitter the lengths so the chains do not all finish in lockstep.
         let len = (nominal * 3 / 4 + rng.gen_range(0..(nominal / 2).max(1))).max(2);
         let base = b.var(&format!("c{c}_v0"));
         for j in 0..config.objs_per_chain.max(1) {

@@ -59,31 +59,17 @@ pub enum FlightEventKind {
     /// watcher kind index, `work` = sampling stride (each recorded firing
     /// stands for `work` real ones).
     Fire,
-    /// A scheduler frame quiesced and left the runnable set, waiting for
-    /// a producer goal to publish new facts. `a` = frame slot, `b` =
-    /// worker id. (Parallel queries only; slots are frame addresses, not
-    /// engine goal indices.)
-    Parked,
-    /// A worker stole a runnable frame from another worker's deque. `a` =
-    /// frame slot, `b` = thief worker id.
-    Stolen,
-    /// A parked frame was rescheduled because a goal it watches published
-    /// new facts. `a` = frame slot, `b` = scheduling worker id.
-    Woken,
 }
 
 impl FlightEventKind {
     /// Schema names, indexed by discriminant.
-    pub const KIND_NAMES: [&'static str; 9] = [
+    pub const KIND_NAMES: [&'static str; 6] = [
         "activated",
         "blocked",
         "resumed",
         "completed",
         "memo_hit",
         "fire",
-        "parked",
-        "stolen",
-        "woken",
     ];
 
     /// The event's schema name.
@@ -99,9 +85,6 @@ impl FlightEventKind {
             3 => Some(FlightEventKind::Completed),
             4 => Some(FlightEventKind::MemoHit),
             5 => Some(FlightEventKind::Fire),
-            6 => Some(FlightEventKind::Parked),
-            7 => Some(FlightEventKind::Stolen),
-            8 => Some(FlightEventKind::Woken),
             _ => None,
         }
     }
@@ -418,7 +401,7 @@ mod tests {
             let k = FlightEventKind::from_u32(i as u32).expect("valid discriminant");
             assert_eq!(k.as_str(), *name);
         }
-        assert!(FlightEventKind::from_u32(10).is_none());
+        assert!(FlightEventKind::from_u32(6).is_none());
     }
 
     #[test]

@@ -48,10 +48,6 @@ pub enum Request {
         minic: bool,
         /// Default deduction budget for queries on this session.
         budget: Option<u64>,
-        /// Session default for intra-query parallelism: when `true`,
-        /// queries on this session run on the frame scheduler with the
-        /// server's configured worker count unless a request overrides it.
-        parallel_query: bool,
     },
     /// Drop a session.
     Close { session: String },
@@ -67,9 +63,6 @@ pub enum Request {
         /// `"trace": true` — attach a per-request trace object (trace ID,
         /// wall time, work deltas) to the response.
         trace: bool,
-        /// `"parallel_query": true/false` — per-request override of the
-        /// session's intra-query parallelism default (`None` inherits it).
-        parallel_query: Option<bool>,
     },
     /// Many queries against a session, answered in order.
     Batch {
@@ -318,7 +311,6 @@ pub fn parse_request(v: &JsonValue) -> Result<Request, ProtoError> {
                 program: need_str(v, "program")?,
                 minic: format,
                 budget: opt_u64(v, "budget")?,
-                parallel_query: opt_bool(v, "parallel_query")?.unwrap_or(false),
             })
         }
         "close" => Ok(Request::Close {
@@ -334,7 +326,6 @@ pub fn parse_request(v: &JsonValue) -> Result<Request, ProtoError> {
             budget: opt_u64(v, "budget")?,
             timeout_ms: opt_u64(v, "timeout_ms")?,
             trace: opt_bool(v, "trace")?.unwrap_or(false),
-            parallel_query: opt_bool(v, "parallel_query")?,
         }),
         "batch" => {
             let queries = v
@@ -430,9 +421,11 @@ pub mod build {
         }
     }
 
-    /// Appends `"parallel_query": true` to a built `open`/`query` request:
-    /// on `open` it becomes the session default, on `query` a per-request
-    /// override of that default.
+    /// Appends `"parallel_query": true` to a built `open`/`query` request.
+    /// The server ignores the key (every query runs on the session's one
+    /// sequential engine); the builder stays only for the end-to-end
+    /// benchmark (`e2e-bench`), which still sends it, until that
+    /// benchmark next changes.
     pub fn with_parallel_query(request: JsonValue) -> JsonValue {
         match request {
             JsonValue::Object(mut fields) => {
@@ -636,20 +629,14 @@ mod tests {
                 program: "p = &o\n".into(),
                 minic: false,
                 budget: Some(100),
-                parallel_query: false,
             }
         );
+        // `parallel_query` is an unknown key: parsed like its absence.
         assert_eq!(
             round_trip(&build::with_parallel_query(build::open(
                 "s", "p = &o\n", false, None
             ))),
-            Request::Open {
-                session: "s".into(),
-                program: "p = &o\n".into(),
-                minic: false,
-                budget: None,
-                parallel_query: true,
-            }
+            round_trip(&build::open("s", "p = &o\n", false, None))
         );
         assert_eq!(
             round_trip(&build::close("s")),
@@ -682,7 +669,6 @@ mod tests {
                     budget: None,
                     timeout_ms: Some(50),
                     trace: false,
-                    parallel_query: None,
                 }
             );
         }
@@ -690,14 +676,7 @@ mod tests {
             round_trip(&build::with_parallel_query(build::query(
                 "s", &specs[0], None, None,
             ))),
-            Request::Query {
-                session: "s".into(),
-                spec: specs[0].clone(),
-                budget: None,
-                timeout_ms: None,
-                trace: false,
-                parallel_query: Some(true),
-            }
+            round_trip(&build::query("s", &specs[0], None, None))
         );
         assert_eq!(
             round_trip(&build::batch("s", &specs, true, Some(9), None)),

@@ -32,7 +32,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
-use ddpa_demand::{EngineStats, SchedPolicy, ThreadPool, TraceReport};
+use ddpa_demand::{EngineStats, ThreadPool, TraceReport};
 use ddpa_obs::{Counter, Histogram, JsonValue, JsonlSink, Obs};
 
 use crate::proto::{error_response, ok_response, parse_request, ErrorCode, ProtoError, Request};
@@ -44,13 +44,9 @@ const READ_TICK: Duration = Duration::from_millis(100);
 /// Server tuning knobs.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
-    /// Worker threads in the shared pool for parallel batches.
-    pub threads: usize,
-    /// Frame-scheduler width for intra-query parallelism (`parallel_query`
-    /// requests); 1 disables the scheduler.
+    /// Worker threads in the shared pool that `"parallel": true`
+    /// batches fan out over.
     pub workers: usize,
-    /// Scheduling policy (DFS/BFS) for parallel queries.
-    pub sched_policy: SchedPolicy,
     /// Default per-query deduction budget (`None` = unlimited).
     pub default_budget: Option<u64>,
     /// Default per-request wall-clock timeout in milliseconds (0 = none);
@@ -94,14 +90,12 @@ pub struct ServeConfig {
 
 impl Default for ServeConfig {
     fn default() -> Self {
-        let threads = std::thread::available_parallelism()
+        let workers = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(4)
             .min(8);
         ServeConfig {
-            threads,
-            workers: 1,
-            sched_policy: SchedPolicy::default(),
+            workers,
             default_budget: None,
             default_timeout_ms: 10_000,
             max_line_bytes: 4 << 20,
@@ -147,9 +141,6 @@ struct ServerCounters {
     dirty_retained: Counter,
     /// Dependency edges traversed by edit-time dirty propagation.
     dirty_edges: Counter,
-    /// Parallelism-requesting queries the sequential engine served
-    /// (budgeted, traced, deadline-expired, single-worker, or cache hit).
-    sched_fallbacks: Counter,
 }
 
 impl ServerCounters {
@@ -172,7 +163,6 @@ impl ServerCounters {
             dirty_goals: obs.counter("demand.dirty.goals"),
             dirty_retained: obs.counter("demand.dirty.retained"),
             dirty_edges: obs.counter("demand.dirty.edges"),
-            sched_fallbacks: obs.counter("server.sched.fallbacks"),
         }
     }
 }
@@ -301,7 +291,7 @@ impl Server {
         let local = listener.local_addr()?;
         let counters = ServerCounters::new(&obs);
         let hists = ServerHists::new(&obs);
-        let pool = ThreadPool::new(config.threads.max(1));
+        let pool = ThreadPool::new(config.workers.max(1));
         let access = match &config.access_log {
             Some(path) => {
                 let file = std::fs::OpenOptions::new()
@@ -944,10 +934,6 @@ fn record_query_obs(state: &ServerState, session_name: &str, delta: &EngineStats
         ("demand.share.misses", delta.share_misses),
         ("demand.share.publishes", delta.share_publishes),
         ("demand.share.evictions", delta.share_evictions),
-        ("demand.sched.parked", delta.sched_parked),
-        ("demand.sched.resumed", delta.sched_resumed),
-        ("demand.sched.steals", delta.sched_steals),
-        ("demand.sched.wakeups", delta.sched_wakeups),
     ];
     for (name, d) in share {
         if d > 0 {
@@ -1043,14 +1029,9 @@ fn dispatch(
             program,
             minic,
             budget,
-            parallel_query,
         } => {
             let _span = state.obs.span("server.request.open");
-            let mut new = Session::open(&program, minic, budget)?.with_parallel(
-                state.config.workers,
-                state.config.sched_policy,
-                parallel_query,
-            );
+            let mut new = Session::open(&program, minic, budget)?;
             // Best-effort warm start: a matching snapshot in the
             // snapshot dir seeds the fresh session's shared memo, so its
             // first queries are share hits instead of cold deduction. A
@@ -1144,7 +1125,6 @@ fn dispatch(
             budget,
             timeout_ms,
             trace: want_trace,
-            parallel_query,
         } => {
             let _span = state.obs.span("server.request.query");
             let handle = get_session(state, &session)?;
@@ -1152,10 +1132,9 @@ fn dispatch(
             let mut s = lock_session(&handle);
             let resolved = s.resolve(&spec)?;
             let bracket = s.begin_trace(trace_id);
-            let answer = s.query_opt(resolved, budget, deadline, parallel_query);
+            let answer = s.query(resolved, budget, deadline);
             let report = s.finish_trace(bracket);
             let generation = s.generation();
-            let sched = s.last_sched();
             drop(s);
             record_query_obs(state, &session, &report.delta, answer.timed_out() as u64);
             let mut fields = vec![
@@ -1163,14 +1142,6 @@ fn dispatch(
                 ("result", render_answer(&answer, generation)),
                 ("generation", JsonValue::U64(generation)),
             ];
-            // A query that asked for parallelism reports how it actually
-            // ran, so budget/trace-forced fallbacks are never silent.
-            if let Some(sched) = sched {
-                if sched == "sequential-fallback" {
-                    state.counters.sched_fallbacks.inc();
-                }
-                fields.push(("sched", JsonValue::str(sched)));
-            }
             if want_trace {
                 fields.push(("trace", report.json()));
             }
@@ -1519,10 +1490,6 @@ fn stats_response(state: &ServerState) -> JsonValue {
             JsonValue::U64(c.batch_queries.get()),
         ),
         (
-            "sched_fallbacks".to_string(),
-            JsonValue::U64(c.sched_fallbacks.get()),
-        ),
-        (
             "open_connections".to_string(),
             JsonValue::U64(state.open_connections.load(Ordering::SeqCst) as u64),
         ),
@@ -1556,12 +1523,7 @@ fn stats_response(state: &ServerState) -> JsonValue {
             ("counters", counters),
             ("latency", latency),
             ("slow", slow),
-            ("threads", JsonValue::U64(state.config.threads as u64)),
             ("workers", JsonValue::U64(state.config.workers as u64)),
-            (
-                "sched_policy",
-                JsonValue::str(state.config.sched_policy.as_str()),
-            ),
         ],
     )
 }
@@ -1614,7 +1576,7 @@ mod tests {
         use crate::proto::build;
 
         let config = ServeConfig {
-            threads: 2,
+            workers: 2,
             // Zero threshold: every request counts as slow, so the ring
             // and the slow flag are exercised deterministically.
             slow_ms: 0,
@@ -1746,7 +1708,7 @@ mod tests {
         use crate::proto::build;
 
         let config = ServeConfig {
-            threads: 1,
+            workers: 1,
             ..ServeConfig::default()
         };
         let server = Server::bind("127.0.0.1:0", config, Obs::new()).expect("bind");
@@ -1832,13 +1794,15 @@ mod tests {
     }
 
     #[test]
-    fn parallel_query_requests_run_on_the_scheduler() {
+    fn parallel_query_requests_are_accepted_and_answered_sequentially() {
         use crate::client::Client;
         use crate::proto::build;
 
+        // Older clients (the end-to-end benchmark among them) still send
+        // `"parallel_query": true` on `open` and `query`; the key is
+        // ignored and the answers are those of a plain session.
         let config = ServeConfig {
-            threads: 1,
-            workers: 4,
+            workers: 2,
             ..ServeConfig::default()
         };
         let server = Server::bind("127.0.0.1:0", config, Obs::new()).expect("bind");
@@ -1847,54 +1811,41 @@ mod tests {
         let runner = std::thread::spawn(move || server.run());
 
         let mut c = Client::connect(addr).expect("connect");
-        let mut program = String::from("v0 = &obj\n");
+        let mut program = String::from("v0 = &obj\nw = &v0\n*w = v0\nu = *w\n");
         for i in 1..150 {
             program.push_str(&format!("v{} = v{}\n", i, i - 1));
         }
-        c.expect_ok(&build::open("s", &program, false, None))
-            .expect("open");
-        // Per-request opt-in on a session whose default is sequential.
-        let spec = QuerySpec::PointsTo {
-            name: "v149".into(),
-        };
-        let v = c
-            .expect_ok(&build::with_parallel_query(build::query(
-                "s", &spec, None, None,
-            )))
-            .expect("parallel query");
-        let result = v.get("result").expect("result");
-        assert_eq!(
-            result
-                .get("pts")
-                .and_then(JsonValue::as_array)
-                .map(|a| a.iter().filter_map(JsonValue::as_str).collect::<Vec<_>>()),
-            Some(vec!["obj"]),
-        );
-        assert_eq!(
-            result.get("complete").and_then(JsonValue::as_bool),
-            Some(true)
-        );
-        // A session opened with parallel_query applies it by default.
+        c.expect_ok(&build::open("plain", &program, false, None))
+            .expect("open plain");
         c.expect_ok(&build::with_parallel_query(build::open(
             "par", &program, false, None,
         )))
-        .expect("open parallel-default session");
-        let v = c
-            .expect_ok(&build::query("par", &spec, None, None))
-            .expect("default-parallel query");
-        assert_eq!(
-            v.get("result")
-                .and_then(|r| r.get("complete"))
-                .and_then(JsonValue::as_bool),
-            Some(true)
-        );
-        // Stats surface the scheduler knobs next to the pool width.
+        .expect("open with parallel_query");
+        let specs = [
+            QuerySpec::PointsTo {
+                name: "v149".into(),
+            },
+            QuerySpec::PointsTo { name: "u".into() },
+            QuerySpec::PointedToBy { name: "obj".into() },
+            QuerySpec::MayAlias {
+                a: "v3".into(),
+                b: "u".into(),
+            },
+        ];
+        for spec in &specs {
+            let plain = c
+                .expect_ok(&build::query("plain", spec, None, None))
+                .expect("plain query");
+            let par = c
+                .expect_ok(&build::with_parallel_query(build::query(
+                    "par", spec, None, None,
+                )))
+                .expect("query with parallel_query");
+            assert_eq!(plain.get("result"), par.get("result"), "{spec:?}");
+            assert!(par.get("sched").is_none(), "{par}");
+        }
         let stats = c.expect_ok(&build::stats()).expect("stats");
-        assert_eq!(stats.get("workers").and_then(JsonValue::as_u64), Some(4));
-        assert_eq!(
-            stats.get("sched_policy").and_then(JsonValue::as_str),
-            Some("dfs")
-        );
+        assert_eq!(stats.get("workers").and_then(JsonValue::as_u64), Some(2));
 
         handle.shutdown();
         runner.join().expect("server thread").expect("clean run");
@@ -1912,7 +1863,7 @@ mod tests {
         ));
         let _ = std::fs::remove_file(&path);
         let config = ServeConfig {
-            threads: 1,
+            workers: 1,
             access_log: Some(path.clone()),
             slow_ms: 0, // everything is "slow": the slow lines get exercised
             ..ServeConfig::default()
@@ -2037,7 +1988,7 @@ mod tests {
         use std::io::Write as _;
 
         let config = ServeConfig {
-            threads: 2,
+            workers: 2,
             max_connections: 4, // low cap: some of the hammer gets shed
             ..ServeConfig::default()
         };
@@ -2214,80 +2165,6 @@ mod tests {
         assert!(text.contains("\"demand.dirty.goals\""), "{text}");
 
         let _ = std::fs::remove_file(&path);
-        handle.shutdown();
-        runner.join().expect("server thread").expect("clean run");
-    }
-
-    #[test]
-    fn budgeted_parallel_queries_report_their_fallback() {
-        use crate::client::Client;
-        use crate::proto::build;
-
-        let config = ServeConfig {
-            workers: 4,
-            ..ServeConfig::default()
-        };
-        let server = Server::bind("127.0.0.1:0", config, Obs::new()).expect("bind");
-        let addr = server.local_addr();
-        let handle = server.handle();
-        let runner = std::thread::spawn(move || server.run());
-
-        let mut c = Client::connect(addr).expect("connect");
-        let mut program = String::from("v0 = &obj\n");
-        for i in 1..60 {
-            program.push_str(&format!("v{} = v{}\n", i, i - 1));
-        }
-        c.expect_ok(&build::open("s", &program, false, None))
-            .expect("open");
-        let spec = QuerySpec::PointsTo { name: "v59".into() };
-
-        // parallel + budget: the engine pins the query to the sequential
-        // path, and the response says so instead of silently degrading.
-        let v = c
-            .expect_ok(&build::with_parallel_query(build::query(
-                "s",
-                &spec,
-                Some(1_000_000),
-                None,
-            )))
-            .expect("budgeted parallel query");
-        assert_eq!(
-            v.get("sched").and_then(JsonValue::as_str),
-            Some("sequential-fallback")
-        );
-
-        // An unbudgeted cold parallel query really runs on the scheduler.
-        c.expect_ok(&build::open("cold", &program, false, None))
-            .expect("open cold");
-        let v = c
-            .expect_ok(&build::with_parallel_query(build::query(
-                "cold", &spec, None, None,
-            )))
-            .expect("parallel query");
-        assert_eq!(v.get("sched").and_then(JsonValue::as_str), Some("parallel"));
-
-        // A plain sequential query carries no marker at all.
-        let v = c
-            .expect_ok(&build::query("s", &spec, None, None))
-            .expect("sequential query");
-        assert!(v.get("sched").is_none());
-
-        // Fallbacks are counted and exported.
-        let scrape = c.expect_ok(&build::scrape()).expect("scrape");
-        let text = scrape
-            .get("text")
-            .and_then(JsonValue::as_str)
-            .expect("text");
-        assert!(text.contains("\"server.sched.fallbacks\""), "{text}");
-        let stats = c.expect_ok(&build::stats()).expect("stats");
-        assert_eq!(
-            stats
-                .get("counters")
-                .and_then(|v| v.get("sched_fallbacks"))
-                .and_then(JsonValue::as_u64),
-            Some(1)
-        );
-
         handle.shutdown();
         runner.join().expect("server thread").expect("clean run");
     }

@@ -22,14 +22,13 @@
 //! new slice would restart from scratch.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use ddpa_constraints::{CallSiteId, ConstraintProgram, NodeId};
 use ddpa_demand::{
-    DemandConfig, DemandEngine, EditStats, EngineStats, QueryTrace, SchedPolicy, SharedMemo,
-    ThreadPool, TraceReport,
+    DemandConfig, DemandEngine, EditStats, EngineStats, QueryTrace, SharedMemo, ThreadPool,
+    TraceReport,
 };
 
 use crate::proto::{ErrorCode, ProtoError, QuerySpec};
@@ -267,17 +266,6 @@ pub struct Session {
     /// batch computes warm later requests for free). `add-constraints`
     /// bumps its generation through [`DemandEngine::reload`].
     shared: Arc<SharedMemo>,
-    /// Frame-scheduler width for parallel queries (1 = scheduler off).
-    workers: usize,
-    /// Session default for intra-query parallelism: applied when a query
-    /// request carries no `parallel_query` override.
-    parallel_default: bool,
-    /// How the most recent [`Session::query_opt`] was scheduled, when the
-    /// request asked for parallelism: `"parallel"` (frame scheduler ran)
-    /// or `"sequential-fallback"` (the sequential engine served it —
-    /// budgeted, deadline-expired, single-worker, or a cache hit).
-    /// `None` when the request didn't ask for parallelism.
-    last_sched: Option<&'static str>,
 }
 
 // Compile-time proof that sessions may move between connection threads:
@@ -331,30 +319,7 @@ impl Session {
             names,
             default_budget,
             shared,
-            workers: 1,
-            parallel_default: false,
-            last_sched: None,
         })
-    }
-
-    /// Configures intra-query parallelism: the frame-scheduler width and
-    /// policy (from the server's `--workers`/`--sched-policy` knobs) plus
-    /// the session's `parallel_query` default from `open`.
-    pub fn with_parallel(mut self, workers: usize, policy: SchedPolicy, default_on: bool) -> Self {
-        self.workers = workers.max(1);
-        self.parallel_default = default_on;
-        self.engine.set_sched_policy(policy);
-        self
-    }
-
-    /// The configured frame-scheduler width.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// The session's `parallel_query` default.
-    pub fn parallel_default(&self) -> bool {
-        self.parallel_default
     }
 
     /// The loaded program.
@@ -584,73 +549,18 @@ impl Session {
         budget: Option<u64>,
         deadline: Option<Instant>,
     ) -> QueryAnswer {
-        self.query_opt(spec, budget, deadline, None)
-    }
-
-    /// [`Session::query`] with a per-request `parallel_query` override
-    /// (`None` inherits the session default).
-    ///
-    /// A parallel query runs on the frame scheduler only when no budget
-    /// applies (neither per-request nor session default): budget slicing
-    /// needs the sequential engine's resumption guarantee. The scheduler
-    /// runs each query to its fixpoint, so a deadline is checked between
-    /// queries but cannot preempt one mid-flight (documented in
-    /// `docs/SERVER.md`).
-    pub fn query_opt(
-        &mut self,
-        spec: ResolvedSpec,
-        budget: Option<u64>,
-        deadline: Option<Instant>,
-        parallel: Option<bool>,
-    ) -> QueryAnswer {
         let budget = budget.or(self.default_budget);
-        let requested = parallel.unwrap_or(self.parallel_default);
-        let parallel = requested && self.workers > 1;
-        // SAFETY-free re-borrow dance: `run_resolved` needs the engine
-        // (`&mut`) and the program (`&`) at once; the engine's own copy
-        // of the program reference is handed out to avoid aliasing
-        // `self.program` while `self.engine` is mutably borrowed.
+        // `run_resolved` needs the engine (`&mut`) and the program (`&`)
+        // at once; the engine's own copy of the program reference is
+        // handed out to avoid aliasing `self.program` while `self.engine`
+        // is mutably borrowed.
         let cp = self.engine.program();
-        let answer = 'answer: {
-            if parallel && budget.is_none() {
-                // Serve memoized/expired-deadline answers through the
-                // normal path; everything else runs unbudgeted on the
-                // scheduler.
-                let expired = deadline.is_some_and(|d| Instant::now() >= d);
-                if !expired {
-                    self.engine.set_workers(self.workers);
-                    let answer = run_resolved(&mut self.engine, cp, spec, None, None);
-                    self.engine.set_workers(1);
-                    break 'answer answer;
-                }
-            }
-            run_resolved(&mut self.engine, cp, spec, budget, deadline)
-        };
-        // Report how a parallelism-requesting query was actually
-        // scheduled, so budget/deadline/cache fallbacks are never silent.
-        self.last_sched = if !requested {
-            None
-        } else if self.engine.last_query_parallel() {
-            Some("parallel")
-        } else {
-            Some("sequential-fallback")
-        };
-        answer
-    }
-
-    /// How the most recent [`Session::query_opt`] was scheduled:
-    /// `Some("parallel")` when the frame scheduler ran,
-    /// `Some("sequential-fallback")` when parallelism was requested but
-    /// the sequential engine served the answer (budgeted, traced,
-    /// deadline-expired, single-worker, or a cache hit), `None` when the
-    /// request didn't ask for parallelism.
-    pub fn last_sched(&self) -> Option<&'static str> {
-        self.last_sched
+        run_resolved(&mut self.engine, cp, spec, budget, deadline)
     }
 
     /// Answers a batch by fanning out over `pool` with one engine per
-    /// worker (the parallel-driver claim protocol generalized to mixed
-    /// query kinds).
+    /// worker ([`ddpa_demand::fan_out`], the parallel driver's claim
+    /// protocol).
     ///
     /// Workers share the session's [`SharedMemo`]: subgoals the warm
     /// engine already completed are installed at zero rule firings, each
@@ -671,56 +581,17 @@ impl Session {
         // Workers inherit the session engine's configuration (budgets,
         // tracing, caching, …) so a batch answer never differs
         // from the warm path because of a config mismatch.
-        let config = self.engine.config().clone();
-        if specs.len() <= 1 || pool.threads() == 1 {
-            let mut engine = DemandEngine::with_obs(cp, config, self.engine.obs().clone())
-                .with_shared_memo(Arc::clone(&self.shared));
-            return specs
-                .iter()
-                .map(|&s| run_resolved(&mut engine, cp, s, budget, deadline))
-                .collect();
-        }
-
-        let mut results: Vec<Option<QueryAnswer>> = vec![None; specs.len()];
-        let next = AtomicUsize::new(0);
-
-        #[derive(Clone, Copy)]
-        struct SlotPtr(*mut Option<QueryAnswer>);
-        unsafe impl Send for SlotPtr {}
-        unsafe impl Sync for SlotPtr {}
-        let slots: Vec<SlotPtr> = results.iter_mut().map(|r| SlotPtr(r as *mut _)).collect();
-        let slots = &slots;
-        let next = &next;
-
-        let workers = pool.threads().min(specs.len());
-        let config = &config;
-        let shared = &self.shared;
+        let config = self.engine.config();
         let obs = self.engine.obs();
-        pool.scoped((0..workers).map(|_| {
-            Box::new(move || {
-                let mut engine = DemandEngine::with_obs(cp, config.clone(), obs.clone())
-                    .with_shared_memo(Arc::clone(shared));
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= specs.len() {
-                        break;
-                    }
-                    let answer = run_resolved(&mut engine, cp, specs[i], budget, deadline);
-                    // SAFETY: index i was claimed exclusively via the
-                    // atomic counter; each slot outlives the scoped batch
-                    // and is written at most once.
-                    let slot: SlotPtr = slots[i];
-                    unsafe {
-                        *slot.0 = Some(answer);
-                    }
-                }
-            }) as Box<dyn FnOnce() + Send + '_>
-        }));
-
-        results
-            .into_iter()
-            .map(|r| r.expect("all slots filled"))
-            .collect()
+        ddpa_demand::fan_out(
+            pool,
+            specs.len(),
+            || {
+                DemandEngine::with_obs(cp, config.clone(), obs.clone())
+                    .with_shared_memo(Arc::clone(&self.shared))
+            },
+            |engine, i| run_resolved(engine, cp, specs[i], budget, deadline),
+        )
     }
 }
 
@@ -947,45 +818,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_queries_match_sequential_and_count_scheduler_work() {
-        let mut text = String::from("v0 = &obj\n");
-        for i in 1..120 {
-            text.push_str(&format!("v{} = v{}\n", i, i - 1));
-        }
-        let mut seq = Session::open(&text, false, None).expect("valid chain");
-        let mut par = Session::open(&text, false, None)
-            .expect("valid chain")
-            .with_parallel(4, SchedPolicy::Dfs, true);
-        assert_eq!(par.workers(), 4);
-        assert!(par.parallel_default());
-        for name in ["v119", "v60", "v0"] {
-            let spec = |s: &Session| {
-                s.resolve(&QuerySpec::PointsTo { name: name.into() })
-                    .expect("resolvable")
-            };
-            let a = seq.query(spec(&seq), None, None);
-            let b = par.query(spec(&par), None, None); // inherits the default
-            assert_eq!(set_names(&a), set_names(&b), "{name}");
-        }
-        // The per-request override forces the sequential path even on a
-        // parallel-default session (and vice versa).
-        let spec = par
-            .resolve(&QuerySpec::PointsTo {
-                name: "v119".into(),
-            })
-            .expect("resolvable");
-        let off = par.query_opt(spec, None, None, Some(false));
-        assert_eq!(set_names(&off), vec!["obj"]);
-        // A budget pins the query to the sequential engine: partial
-        // answers require the resumption guarantee.
-        let limited = par.query_opt(spec, Some(3), None, Some(true));
-        match limited {
-            QueryAnswer::Set { complete, .. } => assert!(complete, "memoized by now"),
-            other => panic!("expected set answer, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn edits_keep_disjoint_chains_warm() {
         let mut s = Session::open("p = &o\nq = p\nr = &u\n", false, None).expect("valid");
         let spec = |s: &Session, name: &str| {
@@ -1049,47 +881,6 @@ mod tests {
         let mut foreign = Session::open("z = &w\n", false, None).expect("valid");
         let err = foreign.restore_snapshot(&snapshot).expect_err("refused");
         assert_eq!(err.code, ErrorCode::Snapshot);
-    }
-
-    #[test]
-    fn parallel_fallbacks_are_reported() {
-        let mut text = String::from("v0 = &obj\n");
-        for i in 1..80 {
-            text.push_str(&format!("v{} = v{}\n", i, i - 1));
-        }
-        let mut s = Session::open(&text, false, None)
-            .expect("valid chain")
-            .with_parallel(4, SchedPolicy::Dfs, false);
-        let spec = s
-            .resolve(&QuerySpec::PointsTo { name: "v79".into() })
-            .expect("resolvable");
-
-        // No parallelism requested: no sched marker at all.
-        s.query_opt(spec, None, None, None);
-        assert_eq!(s.last_sched(), None);
-
-        // Budgeted parallel request: pinned to the sequential engine.
-        let mut cold = Session::open(&text, false, None)
-            .expect("valid chain")
-            .with_parallel(4, SchedPolicy::Dfs, false);
-        let cspec = cold
-            .resolve(&QuerySpec::PointsTo { name: "v79".into() })
-            .expect("resolvable");
-        cold.query_opt(cspec, Some(10_000), None, Some(true));
-        assert_eq!(cold.last_sched(), Some("sequential-fallback"));
-
-        // Unbudgeted cold parallel request: the scheduler runs.
-        let mut fresh = Session::open(&text, false, None)
-            .expect("valid chain")
-            .with_parallel(4, SchedPolicy::Dfs, false);
-        let fspec = fresh
-            .resolve(&QuerySpec::PointsTo { name: "v79".into() })
-            .expect("resolvable");
-        fresh.query_opt(fspec, None, None, Some(true));
-        assert_eq!(fresh.last_sched(), Some("parallel"));
-        // And the repeat is a cache hit, reported as a fallback.
-        fresh.query_opt(fspec, None, None, Some(true));
-        assert_eq!(fresh.last_sched(), Some("sequential-fallback"));
     }
 
     #[test]

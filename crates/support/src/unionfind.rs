@@ -49,29 +49,12 @@ impl UnionFind {
         self.sets
     }
 
-    /// Adds a fresh singleton element, returning its id.
-    pub fn push(&mut self) -> u32 {
-        let id = self.parent.len() as u32;
-        self.parent.push(id);
-        self.rank.push(0);
-        self.sets += 1;
-        id
-    }
-
     /// Returns the representative of `x`'s set, compressing paths.
     pub fn find(&mut self, mut x: u32) -> u32 {
         while self.parent[x as usize] != x {
             let grandparent = self.parent[self.parent[x as usize] as usize];
             self.parent[x as usize] = grandparent;
             x = grandparent;
-        }
-        x
-    }
-
-    /// Returns the representative of `x`'s set without mutating.
-    pub fn find_readonly(&self, mut x: u32) -> u32 {
-        while self.parent[x as usize] != x {
-            x = self.parent[x as usize];
         }
         x
     }
@@ -125,24 +108,5 @@ mod tests {
         assert!(uf.same_set(0, 2));
         assert_eq!(uf.set_count(), 3);
         assert!(uf.union(0, 2).is_none());
-    }
-
-    #[test]
-    fn push_adds_singleton() {
-        let mut uf = UnionFind::new(1);
-        let id = uf.push();
-        assert_eq!(id, 1);
-        assert!(!uf.same_set(0, 1));
-        uf.union(0, 1);
-        assert!(uf.same_set(0, 1));
-    }
-
-    #[test]
-    fn find_readonly_matches_find() {
-        let mut uf = UnionFind::new(6);
-        uf.union(0, 3);
-        uf.union(3, 5);
-        let rep = uf.find(5);
-        assert_eq!(uf.find_readonly(0), rep);
     }
 }

@@ -229,27 +229,22 @@ cargo run -q -p ddpa-cli -- jsonl-check "$edit_metrics"
 grep -q '"name":"demand.dirty.retained","value":[1-9]' "$edit_metrics" \
     || { echo "metrics missing a nonzero demand.dirty.retained" >&2; exit 1; }
 
-echo "==> parallel scheduler smoke test"
-# The differential suite (fixed seeds) proves the frame scheduler is
-# exact — {sequential, DFS×1..N, BFS×1..N} all match the wave solver,
-# including across add-constraints generations. Run it at the sequential
-# boundary and at the CI worker count via the env knob.
-DDPA_SCHED_WORKERS=1 cargo test -q -p ddpa-demand --test sched_differential
-DDPA_SCHED_WORKERS=4 cargo test -q -p ddpa-demand --test sched_differential
-# End-to-end: a traced parallel_query against a live --workers 4 server
-# over a wide (headroom-rich) workload must actually steal — the
-# mirrored demand.sched.steals counter lands in the metrics export.
-wide="$tmp/wide.cons"
-# Big enough that the solve outlives an OS timeslice: on a one-core
-# host a short solve can be drained entirely by one worker, and then
-# nothing steals.
-cargo run -q -p ddpa-cli -- gen --wide --size 8000 --seed 7 > "$wide"
-portfile4="$tmp/serve-sched-port"
-sched_metrics="$tmp/serve-sched-metrics.jsonl"
+echo "==> batch fan-out smoke test"
+# A "parallel": true batch fans its queries out over the server's worker
+# pool (one engine per worker, one shared memo table). Against a live
+# --workers 2 server, the fanned-out answers must equal those of the
+# same batch on the session's warm engine; `work` is stripped before the
+# comparison because it depends on which engine derived a goal first.
+prog="$tmp/fanout.cons"
+cargo run -q -p ddpa-cli -- gen --size 2000 --seed 7 > "$prog"
+# The first 40 dereferenced pointers (`x = *p` lines) of the program.
+names="$(sed -n 's/^.* = \*//p' "$prog" | sort -u | head -40 | tr '\n' ' ')"
+portfile4="$tmp/serve-fanout-port"
+fanout_metrics="$tmp/serve-fanout-metrics.jsonl"
 cargo run -q -p ddpa-cli -- serve --addr 127.0.0.1:0 \
-    --port-file "$portfile4" --metrics-out "$sched_metrics" \
-    --workers 4 \
-    > "$tmp/serve-sched.log" &
+    --port-file "$portfile4" --metrics-out "$fanout_metrics" \
+    --workers 2 \
+    > "$tmp/serve-fanout.log" &
 srv_pid=$!
 for _ in $(seq 1 100); do
     [ -s "$portfile4" ] && break
@@ -257,34 +252,20 @@ for _ in $(seq 1 100); do
 done
 [ -s "$portfile4" ] || { echo "server never wrote $portfile4" >&2; exit 1; }
 addr="$(cat "$portfile4")"
-client open smoke "$wide"
-client query smoke hub --parallel-query --trace
-cargo run -q -p ddpa-cli -- top smoke --addr "$addr" --iters 1 > "$tmp/top-sched.out"
-grep -q '4 worker(s), dfs policy' "$tmp/top-sched.out" \
-    || { echo "ddpa top did not show the scheduler configuration" >&2; exit 1; }
-# Whether a given solve steals is a scheduling race (on a one-core host
-# a single worker can drain the whole goal graph before the others run),
-# so retry across fresh sessions — each `open` gets its own memo table,
-# hence a fresh scheduler run — until the live scrape shows a steal.
-sched_scrape="$tmp/sched-scrape.jsonl"
-stole=""
-for i in $(seq 1 12); do
-    client open "smoke$i" "$wide"
-    client query "smoke$i" hub --parallel-query
-    cargo run -q -p ddpa-cli -- scrape --addr "$addr" --out "$sched_scrape"
-    if grep -q '"name":"demand.sched.steals","value":[1-9]' "$sched_scrape"; then
-        stole=1
-        break
-    fi
-done
-[ -n "$stole" ] \
-    || { echo "no nonzero demand.sched.steals after 12 parallel solves" >&2; exit 1; }
+client open seq "$prog"
+client open par "$prog"
+# shellcheck disable=SC2086 # one argument per name
+cargo run -q -p ddpa-cli -- client --addr "$addr" query seq $names \
+    | sed -e 's/"work":[0-9]*//g' -e 's/"session":"[a-z]*"//' > "$tmp/fanout-seq.out"
+# shellcheck disable=SC2086
+cargo run -q -p ddpa-cli -- client --addr "$addr" query par $names --parallel \
+    | sed -e 's/"work":[0-9]*//g' -e 's/"session":"[a-z]*"//' > "$tmp/fanout-par.out"
+grep -q '"pts":\["' "$tmp/fanout-seq.out" \
+    || { echo "fan-out smoke batch answered nothing: $(cat "$tmp/fanout-seq.out")" >&2; exit 1; }
+cmp -s "$tmp/fanout-seq.out" "$tmp/fanout-par.out" \
+    || { echo "fanned-out batch differs from the warm-engine batch" >&2; exit 1; }
 client shutdown
 wait "$srv_pid"
-cargo run -q -p ddpa-cli -- jsonl-check "$sched_metrics"
-grep -q '"name":"demand.sched.steals","value":[1-9]' "$sched_metrics" \
-    || { echo "metrics missing a nonzero demand.sched.steals" >&2; exit 1; }
-grep -q '"name":"demand.sched.parked","value":[1-9]' "$sched_metrics" \
-    || { echo "metrics missing a nonzero demand.sched.parked" >&2; exit 1; }
+cargo run -q -p ddpa-cli -- jsonl-check "$fanout_metrics"
 
 echo "All checks passed."
